@@ -32,9 +32,9 @@
 //! | C001 | everywhere, tests included | `.lock().unwrap()`; `.lock().expect(…)` without a `lint: invariant` attestation |
 //! | C002 | everywhere, tests included | acquiring a second distinct `Mutex`/`RwLock` while a guard is held in the same scope (lock-ordering hazard; lock-typed names are collected workspace-wide) |
 //! | C003 | everywhere, tests included | holding a lock guard across a `jaws_par::map*` call |
-//! | T001 | everywhere except `crates/par` | `jaws-par` closures capturing `RefCell`/`Cell`/atomics, doing atomic RMW, or calling obs sinks directly (the per-shard buffer drain in `crates/sim/src/engine.rs` is the sanctioned emission pattern) |
+//! | T001 | everywhere except `crates/par` | `jaws-par` closures capturing `RefCell`/`Cell`/atomics, doing atomic RMW, or calling obs sinks directly (emission stays on the calling thread; no file has a sink exemption) |
 //! | A001 | everywhere except `delta/` modules, tests included | constructing or field-writing a `// lint: arrangement` struct outside the delta layer — arrangement state changes only through the layer's `apply` |
-//! | M001 | bodies of `// lint: hotpath` functions, tests included | per-call allocation (`Vec::new`, `Box::new`, `.collect()`) inside a declared hot path — reuse scratch from `jaws-arena` or a caller-provided buffer |
+//! | M001 | bodies of `// lint: hotpath` functions, tests included | per-call allocation (`Vec::new`, `Box::new`, `.collect()`) inside a declared hot path — reuse a scratch field (`mem::take` and restore) or a caller-provided buffer |
 //! | S001 | everywhere, tests included | suppression debt: a `lint:` marker that no longer justifies anything, or that matches no known form |
 //! | U001 | crate roots except `crates/bench` | missing `#![forbid(unsafe_code)]` |
 //!
@@ -212,12 +212,12 @@ pub const RULES: &[RuleInfo] = &[
     RuleInfo {
         id: "T001",
         title: "jaws-par closures must be deterministic",
-        rationale: "a closure passed to jaws_par::map/map_mut/map_indexed that captures \
+        rationale: "a jaws_par::map/map_indexed/map_indexed_grained closure that captures \
                     RefCell/Cell/atomics, performs atomic RMW, or emits to an obs sink makes \
                     results or trace order depend on worker interleaving, breaking the \
                     byte-identical-at-any-thread-count contract.",
-        fix: "keep closures pure per shard; for tracing, buffer into a per-shard VecRecorder \
-              and drain in shard order (see crates/sim/src/engine.rs).",
+        fix: "keep closures pure per shard; for tracing, return the data from the closure \
+              and emit on the calling thread after the map.",
     },
     RuleInfo {
         id: "A001",
@@ -235,9 +235,9 @@ pub const RULES: &[RuleInfo] = &[
         rationale: "functions declared `// lint: hotpath` (engine event loop, next_batch, sweep \
                     kernels) run once per simulated event; a `Vec::new`/`Box::new`/`collect()` \
                     there is allocator traffic repeated millions of times per experiment.",
-        fix: "reuse scratch: take buffers from a jaws-arena pool, accept a caller-provided \
-              buffer, or `mem::take` a reusable field; `// lint: allow(M001)` for genuinely \
-              cold branches inside a hot body.",
+        fix: "reuse scratch: `mem::take` a reusable field and restore it, or accept a \
+              caller-provided buffer; `// lint: allow(M001)` for genuinely cold branches \
+              inside a hot body.",
     },
     RuleInfo {
         id: "S001",

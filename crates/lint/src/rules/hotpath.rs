@@ -5,7 +5,7 @@
 //!   event — millions of times per experiment — so a per-call allocation
 //!   there is pure allocator traffic. `Vec::new`, `Box::new` and
 //!   `.collect()` inside the body are flagged; hot paths reuse scratch
-//!   (`jaws-arena` pools, caller-provided buffers, `mem::take`d fields)
+//!   (caller-provided buffers, `mem::take`d and restored fields)
 //!   instead.
 //!
 //! The marker is a *declaration*, not a suppression: it opts the function
@@ -117,8 +117,8 @@ pub fn run(c: &mut Check<'_>) {
                             "M001",
                             format!(
                                 "{label} allocates per call inside `// lint: hotpath` function \
-                                 `{name}`; reuse scratch (jaws-arena pool, caller-provided \
-                                 buffer, or a `mem::take`d field) instead"
+                                 `{name}`; reuse scratch (a caller-provided buffer or a \
+                                 `mem::take`d field) instead"
                             ),
                         );
                     }

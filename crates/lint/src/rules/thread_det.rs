@@ -1,7 +1,7 @@
 //! T-family rules: thread-determinism of `jaws-par` closures.
 //!
-//! * **T001** — a closure passed to a `jaws_par::map` / `map_mut` /
-//!   `map_indexed` call must stay pure-by-shard: no `RefCell`/`Cell`
+//! * **T001** — a closure passed to a `jaws_par::map` / `map_indexed` /
+//!   `map_indexed_grained` call must stay pure-by-shard: no `RefCell`/`Cell`
 //!   interior mutability, no `Atomic*` types or RMW calls, and no direct
 //!   obs-sink emission (`.emit(` / `.forward(` / `.record(`). Worker
 //!   interleaving would otherwise leak into results or trace order, which
@@ -12,10 +12,9 @@
 //! appear inside the call's argument span, alongside direct type mentions
 //! and atomic read-modify-write calls.
 //!
-//! The one sanctioned emission pattern is the per-shard `VecRecorder`
-//! buffering in `crates/sim/src/engine.rs` (each pipeline writes a private
-//! buffer; the engine drains them in node order), so that file is exempt
-//! from the obs-sink clause — but not from the cell/atomic clauses.
+//! No file is exempt from the obs-sink clause: trace emission belongs on the
+//! calling thread (the engine is serial and emits in its own dispatch
+//! order), so a par closure hands its results back and the caller emits.
 //!
 //! Detection is token-level: the argument span of the call is extracted by
 //! balanced-paren matching over the lexed stream, so flagged tokens inside
@@ -27,7 +26,7 @@ use std::collections::BTreeSet;
 use crate::lexer::TokenKind;
 use crate::source::{declared_names, Check};
 
-const ENTRY_POINTS: &[&str] = &["map", "map_mut", "map_indexed"];
+const ENTRY_POINTS: &[&str] = &["map", "map_indexed", "map_indexed_grained"];
 
 /// Interior-mutable / shared-state types whose bindings must not be
 /// captured by a par closure.
@@ -146,13 +145,11 @@ pub fn run(c: &mut Check<'_>) {
                     "closure passed to `jaws_par::{entry_name}` performs an atomic RMW \
                      (`.{id}(`) — worker interleaving leaks into results"
                 ))
-            } else if dotted_call && SINK_CALLS.contains(&id) && c.rel != "crates/sim/src/engine.rs"
-            {
+            } else if dotted_call && SINK_CALLS.contains(&id) {
                 Some(format!(
                     "closure passed to `jaws_par::{entry_name}` calls an obs sink (`.{id}(`) \
-                     directly — emission order would depend on worker interleaving; buffer \
-                     into a per-shard `VecRecorder` and drain in shard order (the sanctioned \
-                     pattern in crates/sim/src/engine.rs)"
+                     directly — emission order would depend on worker interleaving; return \
+                     the data from the closure and emit on the calling thread"
                 ))
             } else {
                 None
@@ -198,11 +195,11 @@ mod tests {
     }
 
     #[test]
-    fn t001_flags_direct_obs_emission_except_in_engine() {
+    fn t001_flags_direct_obs_emission_everywhere() {
         let emit = "fn f(xs: &[u32], sink: &ObsSink) -> Vec<u32> {\n    jaws_par::map(xs, |x| {\n        sink.emit(0.0, ev(*x));\n        *x\n    })\n}\n";
         assert_eq!(codes(SIM, emit), vec!["T001"]);
-        // The sanctioned per-shard VecRecorder drain lives in engine.rs.
-        assert!(codes("crates/sim/src/engine.rs", emit).is_empty());
+        // The engine has no exemption: it emits on its own thread only.
+        assert_eq!(codes("crates/sim/src/engine.rs", emit), vec!["T001"]);
     }
 
     #[test]

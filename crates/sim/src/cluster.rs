@@ -31,7 +31,7 @@ use jaws_cache::CacheStats;
 use jaws_morton::MortonKey;
 use jaws_obs::ObsSink;
 use jaws_scheduler::{finite_or_zero, MetricParams, SchedulerStats};
-use jaws_turbdb::{CostModel, DbConfig, DiskStats};
+use jaws_turbdb::{CostModel, DataMode, DbConfig, DiskStats};
 use jaws_workload::{QueryId, Trace};
 use serde::Serialize;
 
@@ -192,6 +192,13 @@ impl ClusterExecutor {
     /// Panics if `nodes` is zero or exceeds the part-id packing budget
     /// ([`engine::MAX_NODE_INDEX`]).
     pub fn new(cfg: ClusterConfig) -> Self {
+        Self::with_data_mode(cfg, DataMode::Virtual)
+    }
+
+    /// [`ClusterExecutor::new`] over node databases in `mode`. The engine
+    /// never reads atom payloads, so the public constructor always opens
+    /// them `Virtual`; the payload-independence test opens them `Synthetic`.
+    fn with_data_mode(cfg: ClusterConfig, mode: DataMode) -> Self {
         cfg.db.validate();
         let per_ts = cfg.db.atoms_per_timestep();
         assert!(cfg.nodes >= 1, "need at least one node");
@@ -224,7 +231,7 @@ impl ClusterExecutor {
                     build_db(
                         cfg.db,
                         cfg.cost,
-                        jaws_turbdb::DataMode::Virtual,
+                        mode,
                         cfg.cache_atoms_per_node,
                         cfg.cache_policy,
                     ),
@@ -460,6 +467,36 @@ mod tests {
         let active = r.nodes.iter().filter(|n| n.parts_completed > 0).count();
         assert!(active >= 3, "only {active} of 4 nodes did work");
         assert!(r.imbalance() >= 1.0);
+    }
+
+    /// The 4-node twin of the determinism suite's payload-independence pin:
+    /// on the `--smoke` geometry (field and trace seed `exp::TRACE_SEED`), a
+    /// cluster over `Synthetic` node databases serializes byte-identically to
+    /// one over `Virtual` databases, once the host-measured cache-policy
+    /// overhead is zeroed.
+    #[test]
+    fn synthetic_and_virtual_payloads_give_identical_cluster_reports() {
+        const SMOKE_SEED: u64 = 2009_0720;
+        let trace = TraceGenerator::new(GenConfig::small(SMOKE_SEED)).generate();
+        let run = |mode: DataMode| {
+            let mut cfg = cluster_cfg(4, SchedulerKind::Jaws2 { batch_k: 15 });
+            cfg.db.seed = SMOKE_SEED;
+            cfg.cache_policy = CachePolicyKind::Urc;
+            cfg.cache_atoms_per_node = 16;
+            let mut ex = ClusterExecutor::with_data_mode(cfg, mode);
+            let mut r = ex.run(&trace);
+            let materialized: u64 = ex.pipelines.iter().map(|p| p.db().materializations()).sum();
+            assert_eq!(materialized > 0, mode == DataMode::Synthetic);
+            r.aggregate.cache.policy_overhead_ns = 0;
+            r.aggregate.cache_overhead_ms_per_query = 0.0;
+            for n in &mut r.nodes {
+                n.cache.policy_overhead_ns = 0;
+            }
+            let report = serde_json::to_string(&r).expect("report serializes");
+            let log = serde_json::to_string(ex.response_log()).expect("log serializes");
+            format!("{report}\n{log}")
+        };
+        assert_eq!(run(DataMode::Synthetic), run(DataMode::Virtual));
     }
 
     #[test]

@@ -13,18 +13,24 @@
 //!   liveness: a scripted
 //!   crash ([`crate::FailurePlan`]) marks a node dead and re-routes its slab
 //!   to a survivor (clamped, chained across repeated failures);
-//! * `run_trace` (crate-internal) is the one client model: it replays job
-//!   arrivals, paces batched queries, drives ordered think-time chains,
-//!   enforces the cross-node completion barrier (outstanding-part counts),
-//!   charges batch service times, spends idle capacity on trajectory
-//!   prefetches, injects scripted node failures (crash re-dispatch, straggler
-//!   slowdowns), and truncates at the simulated-time cap — against N ≥ 1
-//!   [`NodePipeline`]s.
+//! * `Engine` (crate-internal, driven by `run_trace`) is the one client
+//!   model: it replays job arrivals, paces batched queries, drives ordered
+//!   think-time chains, enforces the cross-node completion barrier
+//!   (outstanding-part counts), charges batch service times, spends idle
+//!   capacity on trajectory prefetches, injects scripted node failures (crash
+//!   re-dispatch, straggler slowdowns), and truncates at the simulated-time
+//!   cap — against N ≥ 1 [`NodePipeline`]s. It has one handler per event
+//!   (`on_job_arrival`, `submit`, `on_batch_done`, `on_prefetch_done`,
+//!   `on_idle_check`, `on_failure`), each followed by a serial dispatch round
+//!   over the live nodes in ascending node order.
 //!
 //! The engine owns the clock: pipelines never see time except through the
-//! `now_ms` arguments the engine passes in. All engine-side state is kept in
-//! `BTreeMap`s so iteration order can never leak hash randomness into
-//! scheduling decisions (lint rule D001 needs no carve-outs here).
+//! `now_ms` arguments the engine passes in. Per-query state lives in dense
+//! vectors indexed by trace position and per-node state in vectors indexed by
+//! node; keyed state is kept in `BTreeMap`s, so iteration order can never
+//! leak hash randomness into scheduling decisions (lint rule D001 needs no
+//! carve-outs here). Everything runs on the calling thread, so pipelines emit
+//! straight to their node-tagged sinks in engine order.
 //!
 //! ## Failure semantics
 //!
@@ -45,14 +51,12 @@ use crate::node::NodePipeline;
 use crate::replication::{ReplicaAction, ReplicaDirectory, ReplicationConfig, ReplicationSummary};
 use crate::report::RunTotals;
 use crate::SimConfig;
-use jaws_arena::Lanes;
 use jaws_morton::MortonKey;
-use jaws_obs::{ObsSink, VecRecorder};
+use jaws_obs::ObsSink;
 use jaws_workload::{Footprint, Job, JobKind, Query, QueryId, Trace};
 use std::borrow::Cow;
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::atomic::{AtomicU64, Ordering as AtomicOrdering};
-use std::sync::{Arc, Mutex};
 
 /// Bits of a packed part id that carry the original query id. The remaining
 /// high bits hold `node + 1`, so part ids from different nodes never collide
@@ -445,60 +449,6 @@ impl EventQueue {
     }
 }
 
-/// Per-node observability buffers, active only while a traced multi-node run
-/// is in flight. Pipelines may step on `jaws-par` worker threads, so letting
-/// them write the shared recorder directly would make trace order depend on
-/// thread interleaving. Instead each pipeline is rewired to a private
-/// [`VecRecorder`]; the engine drains the buffers — in node order, at the
-/// exact points where the serial engine would have called into each pipeline
-/// — through [`ObsSink::forward`], which re-records verbatim. The resulting
-/// JSONL is byte-identical to a serial run at any thread count (jaws-obs
-/// module docs, invariant 3).
-struct TraceBuffers<'a> {
-    bufs: Vec<Arc<Mutex<VecRecorder>>>,
-    out: &'a ObsSink,
-}
-
-impl TraceBuffers<'_> {
-    /// Forwards everything `node` buffered since the last drain.
-    fn drain(&self, node: usize) {
-        // lint: invariant — a poisoned buffer lock means a worker already
-        // panicked, and that panic is re-raised by jaws_par::map_mut
-        let mut buf = self.bufs[node].lock().expect("trace buffer lock");
-        for r in buf.take() {
-            self.out.forward(&r);
-        }
-    }
-
-    /// Drains every node's buffer in ascending node order.
-    fn drain_all(&self) {
-        for node in 0..self.bufs.len() {
-            self.drain(node);
-        }
-    }
-}
-
-/// Installs per-node trace buffers when a traced run has more than one
-/// pipeline (the only case where pipelines may emit from worker threads).
-fn buffer_node_sinks<'a>(
-    pipelines: &mut [NodePipeline],
-    sink: &'a ObsSink,
-) -> Option<TraceBuffers<'a>> {
-    if pipelines.len() < 2 || !sink.enabled() {
-        return None;
-    }
-    let bufs: Vec<Arc<Mutex<VecRecorder>>> = pipelines
-        .iter_mut()
-        .enumerate()
-        .map(|(node, p)| {
-            let buf = Arc::new(Mutex::new(VecRecorder::new()));
-            p.set_recorder(ObsSink::new(buf.clone()).with_node(node as u32));
-            buf
-        })
-        .collect();
-    Some(TraceBuffers { bufs, out: sink })
-}
-
 /// Per-node failure outcome of one run, consumed by the cluster report.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct NodeStatus {
@@ -575,14 +525,15 @@ struct ReplicationState {
     decls: u64,
 }
 
-/// Reusable per-submit scratch for the engine's fan-out path. One query's
-/// footprint is scattered into per-node lanes, built into part queries, and
-/// the lane buffers are recovered after delivery — so a warmed-up submit
-/// allocates nothing on the static-slab route and only the per-part `Query`
-/// clones demanded by declarations on the replicated route.
-struct EngineScratch {
+/// Reusable per-submit scratch for the fan-out path. One query's footprint
+/// is scattered into per-node lanes, each non-empty lane's buffer leaves as
+/// a part's footprint, and the buffer comes back (cleared) after delivery —
+/// so a warmed-up submit allocates nothing on the static-slab route and only
+/// the per-part `Query` clones demanded by declarations on the replicated
+/// route.
+struct FanOut {
     /// Per-node `(morton, count)` buckets for the footprint scatter.
-    lanes: Lanes<(MortonKey, u32)>,
+    lanes: Vec<Vec<(MortonKey, u32)>>,
     /// Replicated route: which nodes statically own atoms of the current
     /// query (withdrawal bookkeeping). Reset per submit.
     owner_flag: Vec<bool>,
@@ -595,55 +546,33 @@ struct EngineScratch {
     parts: Vec<(u32, Query)>,
 }
 
-impl EngineScratch {
+impl FanOut {
     fn new(nodes: usize) -> Self {
-        EngineScratch {
-            lanes: Lanes::new(nodes),
+        FanOut {
+            lanes: vec![Vec::new(); nodes],
             owner_flag: vec![false; nodes],
             actions: Vec::new(),
             parts: Vec::new(),
         }
     }
-}
 
-/// Hands one part query to its owning pipeline: emits the routing record,
-/// registers failure-plan bookkeeping, feeds the trajectory predictor (for
-/// ordered follow-ups) and makes the part available to the node's scheduler.
-#[allow(clippy::too_many_arguments)]
-fn deliver_part(
-    node: u32,
-    part: &Query,
-    query: QueryId,
-    observe: bool,
-    job_id: u64,
-    now_ms: f64,
-    fstate: &mut Option<FailureState>,
-    pipelines: &mut [NodePipeline],
-    sink: &ObsSink,
-    buffers: &Option<TraceBuffers<'_>>,
-) {
-    if sink.enabled() {
-        sink.emit(
-            now_ms,
-            jaws_obs::Event::PartRouted {
-                query,
-                part: part.id,
-                node,
-                atoms: part.footprint.atoms.len() as u32,
-            },
-        );
+    /// Builds `node`'s part of `q` from its lane, taking the lane's buffer.
+    fn take_part(&mut self, q: &Query, node: usize) -> Query {
+        Query {
+            id: part_id(q.id, node as u32),
+            user: q.user,
+            op: q.op,
+            timestep: q.timestep,
+            footprint: Footprint::from_pairs_in_place(std::mem::take(&mut self.lanes[node])),
+        }
     }
-    if let Some(fs) = fstate {
-        fs.pending[node as usize].insert(part.id);
-        fs.defs.insert(part.id, part.clone());
-    }
-    let p = &mut pipelines[node as usize];
-    if observe {
-        p.observe(job_id, part);
-    }
-    p.query_available(part, now_ms);
-    if let Some(b) = buffers {
-        b.drain(node as usize);
+
+    /// Returns a delivered part's footprint buffer to `node`'s lane, cleared,
+    /// so its capacity serves the next query.
+    fn restore(&mut self, node: usize, part: &mut Query) {
+        let mut atoms = std::mem::take(&mut part.footprint.atoms);
+        atoms.clear();
+        self.lanes[node] = atoms;
     }
 }
 
@@ -671,88 +600,236 @@ pub(crate) fn run_trace(
     failures: &FailurePlan,
     sink: &ObsSink,
 ) -> EngineOutcome {
-    assert!(
-        failures.is_empty()
-            || matches!(
-                routing,
-                Routing::MortonSlabs { .. } | Routing::Replicated { .. }
-            ),
-        "failure plans require the cluster route (a single node has no survivor)"
-    );
-    // Query → (job index, query index) for completion routing.
-    let mut locate: BTreeMap<QueryId, (usize, usize)> = BTreeMap::new();
-    for (ji, job) in trace.jobs.iter().enumerate() {
-        for (qi, q) in job.queries.iter().enumerate() {
-            locate.insert(q.id, (ji, qi));
+    Engine::new(
+        pipelines,
+        routing,
+        cfg,
+        trace,
+        declare_on_arrival,
+        failures,
+        sink,
+    )
+    .run()
+}
+
+/// One replay in flight: the event queue, the routing overlay, the per-query
+/// tables and the optional failure and replication components, with one
+/// handler per [`Event`] variant. Every handler runs on the engine thread and
+/// is followed by one [`Engine::dispatch_round`].
+struct Engine<'a> {
+    trace: &'a Trace,
+    cfg: &'a SimConfig,
+    sink: &'a ObsSink,
+    failures: &'a FailurePlan,
+    pipelines: &'a mut [NodePipeline],
+    /// Declare each trace job to the schedulers when it arrives.
+    declare_on_arrival: bool,
+    queue: EventQueue,
+    live: LiveRouting<'a>,
+    now_ms: f64,
+    /// Trace query id → (job index, query index).
+    locate: BTreeMap<QueryId, (usize, usize)>,
+    /// Flat position of each job's first query: query `(ji, qi)` owns slot
+    /// `first_pos[ji] + qi` of the dense per-query tables below.
+    first_pos: Vec<usize>,
+    /// Per query: submission time, `None` until submitted.
+    submit_ms: Vec<Option<f64>>,
+    /// Per query: the completion barrier — parts not yet completed (1 on the
+    /// single route; one per owning node on the cluster routes).
+    outstanding: Vec<u32>,
+    responses: Vec<f64>,
+    response_log: Vec<(QueryId, f64)>,
+    remaining_per_job: Vec<usize>,
+    jobs_completed: u64,
+    first_arrival: f64,
+    last_completion: f64,
+    truncated: bool,
+    node_status: Vec<NodeStatus>,
+    first_failure_ms: Option<f64>,
+    /// Failure bookkeeping, allocated only when a plan is in force, so the
+    /// plain replay pays nothing and stays byte-identical to its pre-failure
+    /// behavior (event ids included: the plan pushes no events when empty).
+    failure: Option<FailureState>,
+    /// Replication bookkeeping, under the same only-pay-when-active rule.
+    replication: Option<ReplicationState>,
+    fan_out: FanOut,
+}
+
+impl<'a> Engine<'a> {
+    fn new(
+        pipelines: &'a mut [NodePipeline],
+        routing: &'a Routing,
+        cfg: &'a SimConfig,
+        trace: &'a Trace,
+        declare_on_arrival: bool,
+        failures: &'a FailurePlan,
+        sink: &'a ObsSink,
+    ) -> Self {
+        assert!(
+            failures.is_empty()
+                || matches!(
+                    routing,
+                    Routing::MortonSlabs { .. } | Routing::Replicated { .. }
+                ),
+            "failure plans require the cluster route (a single node has no survivor)"
+        );
+        let nodes = pipelines.len();
+        let mut locate = BTreeMap::new();
+        let mut first_pos = Vec::with_capacity(trace.jobs.len());
+        let mut total_queries = 0;
+        for (ji, job) in trace.jobs.iter().enumerate() {
+            first_pos.push(total_queries);
+            total_queries += job.queries.len();
+            for (qi, q) in job.queries.iter().enumerate() {
+                locate.insert(q.id, (ji, qi));
+            }
+        }
+        let first_arrival = trace.jobs.first().map_or(0.0, |j| j.arrival_ms);
+        let failure = (!failures.is_empty()).then(|| FailureState {
+            pending: vec![BTreeSet::new(); nodes],
+            defs: BTreeMap::new(),
+            declared: vec![BTreeSet::new(); nodes],
+            arrived: vec![false; trace.jobs.len()],
+            crashes: 0,
+        });
+        let replication = match routing {
+            Routing::Replicated { replication, .. } if replication.enabled => {
+                Some(ReplicationState {
+                    dir: ReplicaDirectory::new(*replication),
+                    declared: vec![BTreeSet::new(); nodes],
+                    node_load: vec![0; nodes],
+                    decls: 0,
+                })
+            }
+            _ => None,
+        };
+        Engine {
+            trace,
+            cfg,
+            sink,
+            failures,
+            pipelines,
+            declare_on_arrival,
+            queue: EventQueue::default(),
+            live: LiveRouting::new(routing, nodes),
+            now_ms: 0.0,
+            locate,
+            first_pos,
+            submit_ms: vec![None; total_queries],
+            outstanding: vec![0; total_queries],
+            responses: Vec::with_capacity(total_queries),
+            response_log: Vec::new(),
+            remaining_per_job: trace.jobs.iter().map(|j| j.queries.len()).collect(),
+            jobs_completed: 0,
+            first_arrival,
+            last_completion: first_arrival,
+            truncated: false,
+            node_status: vec![NodeStatus::default(); nodes],
+            first_failure_ms: None,
+            failure,
+            replication,
+            fan_out: FanOut::new(nodes),
         }
     }
-    let total_queries: usize = trace.query_count();
-    let mut submit_ms: BTreeMap<QueryId, f64> = BTreeMap::new();
-    // Per-query completion barrier: outstanding part count (always 1 on the
-    // single route; one per owning node under Morton slabs).
-    let mut outstanding: BTreeMap<QueryId, u32> = BTreeMap::new();
-    let mut responses: Vec<f64> = Vec::with_capacity(total_queries);
-    let mut response_log: Vec<(QueryId, f64)> = Vec::new();
-    let mut jobs_completed = 0u64;
-    let mut remaining_per_job: Vec<usize> = trace.jobs.iter().map(|j| j.queries.len()).collect();
-    let first_arrival = trace.jobs.first().map_or(0.0, |j| j.arrival_ms);
-    let mut last_completion = first_arrival;
-    let mut truncated = false;
-    let mut now_ms = 0.0f64;
-    let mut queue = EventQueue::default();
-    let mut live = LiveRouting::new(routing, pipelines.len());
-    let mut node_status: Vec<NodeStatus> = vec![NodeStatus::default(); pipelines.len()];
-    let mut first_failure_ms: Option<f64> = None;
-    // Failure bookkeeping is allocated only when a plan is in force, so the
-    // plain replay pays nothing and stays byte-identical to its pre-failure
-    // behavior (event ids included: the plan pushes no events when empty).
-    let mut fstate: Option<FailureState> = (!failures.is_empty()).then(|| FailureState {
-        pending: vec![BTreeSet::new(); pipelines.len()],
-        defs: BTreeMap::new(),
-        declared: vec![BTreeSet::new(); pipelines.len()],
-        arrived: vec![false; trace.jobs.len()],
-        crashes: 0,
-    });
-    // Replication bookkeeping follows the same only-pay-when-active rule.
-    let mut rstate: Option<ReplicationState> = match routing {
-        Routing::Replicated { replication, .. } if replication.enabled => Some(ReplicationState {
-            dir: ReplicaDirectory::new(*replication),
-            declared: vec![BTreeSet::new(); pipelines.len()],
-            node_load: vec![0; pipelines.len()],
-            decls: 0,
-        }),
-        _ => None,
-    };
-    // Traced multi-node runs: buffer per-node emissions so worker threads
-    // never interleave on the shared recorder (see [`TraceBuffers`]).
-    let buffers = buffer_node_sinks(pipelines, sink);
-    // Reusable fan-out and dispatch scratch: allocated once per run, cleared
-    // per event — the per-event hot path allocates nothing after warm-up.
-    let mut scratch = EngineScratch::new(pipelines.len());
-    let mut plans: Vec<DispatchPlan> = Vec::with_capacity(pipelines.len());
 
-    // Submits query (ji, qi): records the submission time, fans the query
-    // out to its owning pipelines, and (for ordered follow-ups) feeds the
-    // trajectory predictors. The fan-out scatters into the reusable scratch
-    // lanes and recovers each part's footprint buffer after delivery, so a
-    // warmed-up submit performs no allocation on the static routes.
-    let submit = |ji: usize,
-                  qi: usize,
-                  observe: bool,
-                  now_ms: f64,
-                  live: &LiveRouting,
-                  submit_ms: &mut BTreeMap<QueryId, f64>,
-                  outstanding: &mut BTreeMap<QueryId, u32>,
-                  fstate: &mut Option<FailureState>,
-                  rstate: &mut Option<ReplicationState>,
-                  pipelines: &mut [NodePipeline],
-                  scratch: &mut EngineScratch| {
-        let job = &trace.jobs[ji];
+    /// The event loop: seeds arrivals and scripted failures, then pops events
+    /// in `(time, insertion id)` order until the queue drains or the
+    /// simulated-time cap fires.
+    fn run(mut self) -> EngineOutcome {
+        for (ji, job) in self.trace.jobs.iter().enumerate() {
+            self.queue.push(job.arrival_ms, Event::JobArrival(ji));
+        }
+        for (i, ev) in self.failures.events().iter().enumerate() {
+            self.queue.push(ev.at_ms(), Event::Failure(i));
+        }
+        while let Some((at, ev)) = self.queue.pop() {
+            if at > self.cfg.max_sim_ms {
+                self.truncated = true;
+                break;
+            }
+            self.now_ms = self.now_ms.max(at);
+            match ev {
+                Event::JobArrival(ji) => self.on_job_arrival(ji),
+                Event::QuerySubmit(ji, qi) => {
+                    let observe = self.trace.jobs[ji].kind == JobKind::Ordered;
+                    self.submit(ji, qi, observe);
+                }
+                Event::BatchDone(node, parts) => self.on_batch_done(node, parts),
+                Event::PrefetchDone(node) => self.on_prefetch_done(node),
+                Event::IdleCheck(node) => self.on_idle_check(node),
+                Event::Failure(i) => self.on_failure(i),
+            }
+            self.dispatch_round();
+        }
+        self.finish()
+    }
+
+    /// A trace job arrives: declare it to every live node that owns part of
+    /// it, then start its client model — a batched job's paced stream, or an
+    /// ordered job's chain head.
+    fn on_job_arrival(&mut self, ji: usize) {
+        let job = &self.trace.jobs[ji];
+        if let Some(fs) = &mut self.failure {
+            fs.arrived[ji] = true;
+        }
+        if self.sink.enabled() {
+            self.sink.emit(
+                self.now_ms,
+                jaws_obs::Event::JobArrival {
+                    job: job.id,
+                    kind: match job.kind {
+                        JobKind::Ordered => "ordered".to_string(),
+                        JobKind::Batched => "batched".to_string(),
+                    },
+                    queries: job.queries.len() as u32,
+                },
+            );
+        }
+        if self.declare_on_arrival {
+            for node in 0..self.pipelines.len() {
+                if !self.live.alive[node] {
+                    continue;
+                }
+                let Some(pj) = self.live.project_job(job, node as u32) else {
+                    continue;
+                };
+                if let Some(fs) = &mut self.failure {
+                    fs.declared[node].extend(pj.queries.iter().map(|q| q.id));
+                }
+                if let Some(rs) = &mut self.replication {
+                    rs.declared[node].extend(pj.queries.iter().map(|q| q.id));
+                }
+                self.pipelines[node].job_declared(pj.as_ref(), self.now_ms);
+            }
+        }
+        match job.kind {
+            JobKind::Batched => {
+                // The client loop streams order-independent queries at its
+                // pacing cadence.
+                for qi in 0..job.queries.len() {
+                    self.queue.push(
+                        self.now_ms + qi as f64 * job.think_ms,
+                        Event::QuerySubmit(ji, qi),
+                    );
+                }
+            }
+            // The chain head is submitted in place (the predictor only
+            // observes from the second query on).
+            JobKind::Ordered => self.submit(ji, 0, false),
+        }
+    }
+
+    /// Submits query `(ji, qi)`: records the submission time, fans the query
+    /// out to its owning pipelines, and (for ordered follow-ups) feeds the
+    /// trajectory predictors.
+    fn submit(&mut self, ji: usize, qi: usize, observe: bool) {
+        let job = &self.trace.jobs[ji];
         let q = &job.queries[qi];
-        submit_ms.insert(q.id, now_ms);
-        if sink.enabled() {
-            sink.emit(
-                now_ms,
+        let pos = self.first_pos[ji] + qi;
+        self.submit_ms[pos] = Some(self.now_ms);
+        if self.sink.enabled() {
+            self.sink.emit(
+                self.now_ms,
                 jaws_obs::Event::QuerySubmit {
                     query: q.id,
                     job: job.id,
@@ -762,784 +839,554 @@ pub(crate) fn run_trace(
                 },
             );
         }
-        match rstate {
-            Some(rs) => {
-                replicated_fan_out(
-                    rs,
-                    fstate,
-                    q,
-                    job,
-                    observe,
-                    now_ms,
-                    live,
-                    pipelines,
-                    sink,
-                    &buffers,
-                    scratch,
-                    outstanding,
-                );
+        self.outstanding[pos] = match self.replication.take() {
+            // The overlay is lent to the fan-out, which delivers parts
+            // through the engine, and put back afterwards.
+            Some(mut rs) => {
+                let parts = self.replicated_fan_out(&mut rs, q, job, observe);
+                self.replication = Some(rs);
+                parts
             }
-            None => match live.base {
+            None => match self.live.base {
                 Routing::Single => {
                     // The single route delivers the query itself, unchanged.
-                    outstanding.insert(q.id, 1);
-                    deliver_part(
-                        0, q, q.id, observe, job.id, now_ms, fstate, pipelines, sink, &buffers,
-                    );
+                    self.deliver_part(0, q, q.id, observe, job.id);
+                    1
                 }
                 Routing::MortonSlabs { .. } | Routing::Replicated { .. } => {
-                    for &(m, c) in &q.footprint.atoms {
-                        scratch.lanes.push(live.node_of(m) as usize, (m, c));
-                    }
-                    let parts = (0..scratch.lanes.len())
-                        .filter(|&n| scratch.lanes.lane_len(n) > 0)
-                        .count();
-                    outstanding.insert(q.id, parts as u32);
-                    for node in 0..scratch.lanes.len() {
-                        if scratch.lanes.lane_len(node) == 0 {
-                            continue;
-                        }
-                        let atoms = scratch.lanes.take_lane(node);
-                        let mut part = Query {
-                            id: part_id(q.id, node as u32),
-                            user: q.user,
-                            op: q.op,
-                            timestep: q.timestep,
-                            footprint: Footprint::from_pairs_in_place(atoms),
-                        };
-                        deliver_part(
-                            node as u32,
-                            &part,
-                            q.id,
-                            observe,
-                            job.id,
-                            now_ms,
-                            fstate,
-                            pipelines,
-                            sink,
-                            &buffers,
-                        );
-                        scratch
-                            .lanes
-                            .restore(node, std::mem::take(&mut part.footprint.atoms));
-                    }
+                    self.slab_fan_out(q, job.id, observe)
                 }
             },
-        }
-    };
-
-    for (ji, job) in trace.jobs.iter().enumerate() {
-        queue.push(job.arrival_ms, Event::JobArrival(ji));
-    }
-    for (i, ev) in failures.events().iter().enumerate() {
-        queue.push(ev.at_ms(), Event::Failure(i));
-    }
-
-    while let Some((at, ev)) = queue.pop() {
-        if at > cfg.max_sim_ms {
-            truncated = true;
-            break;
-        }
-        now_ms = now_ms.max(at);
-        match ev {
-            Event::JobArrival(ji) => {
-                let job = &trace.jobs[ji];
-                if let Some(fs) = &mut fstate {
-                    fs.arrived[ji] = true;
-                }
-                if sink.enabled() {
-                    sink.emit(
-                        now_ms,
-                        jaws_obs::Event::JobArrival {
-                            job: job.id,
-                            kind: match job.kind {
-                                JobKind::Ordered => "ordered".to_string(),
-                                JobKind::Batched => "batched".to_string(),
-                            },
-                            queries: job.queries.len() as u32,
-                        },
-                    );
-                }
-                if declare_on_arrival {
-                    for node in 0..pipelines.len() as u32 {
-                        if !live.alive[node as usize] {
-                            continue;
-                        }
-                        if let Some(pj) = live.project_job(job, node) {
-                            if let Some(fs) = &mut fstate {
-                                fs.declared[node as usize].extend(pj.queries.iter().map(|q| q.id));
-                            }
-                            if let Some(rs) = &mut rstate {
-                                rs.declared[node as usize].extend(pj.queries.iter().map(|q| q.id));
-                            }
-                            pipelines[node as usize].job_declared(pj.as_ref(), now_ms);
-                            if let Some(b) = &buffers {
-                                b.drain(node as usize);
-                            }
-                        }
-                    }
-                }
-                match job.kind {
-                    JobKind::Batched => {
-                        // The client loop streams order-independent queries
-                        // at its pacing cadence.
-                        for (qi, _) in job.queries.iter().enumerate() {
-                            queue.push(
-                                now_ms + qi as f64 * job.think_ms,
-                                Event::QuerySubmit(ji, qi),
-                            );
-                        }
-                    }
-                    JobKind::Ordered => {
-                        // The chain head is submitted in place (the predictor
-                        // only observes from the second query on).
-                        submit(
-                            ji,
-                            0,
-                            false,
-                            now_ms,
-                            &live,
-                            &mut submit_ms,
-                            &mut outstanding,
-                            &mut fstate,
-                            &mut rstate,
-                            &mut *pipelines,
-                            &mut scratch,
-                        );
-                    }
-                }
-            }
-            Event::QuerySubmit(ji, qi) => {
-                let observe = trace.jobs[ji].kind == JobKind::Ordered;
-                submit(
-                    ji,
-                    qi,
-                    observe,
-                    now_ms,
-                    &live,
-                    &mut submit_ms,
-                    &mut outstanding,
-                    &mut fstate,
-                    &mut rstate,
-                    &mut *pipelines,
-                    &mut scratch,
-                );
-            }
-            Event::BatchDone(node, completed_parts) => {
-                if !live.alive[node as usize] {
-                    // The node died mid-batch: its completion never happens
-                    // and these parts were re-dispatched at crash time.
-                    continue;
-                }
-                pipelines[node as usize].set_idle();
-                for pid in completed_parts {
-                    let qid = routing.original_id(pid);
-                    // lint: invariant — schedulers only complete queries
-                    // previously handed to query_available
-                    let submitted = submit_ms
-                        .get(&qid)
-                        .copied()
-                        .expect("completed query was submitted");
-                    let rt = now_ms - submitted;
-                    pipelines[node as usize].complete_part(pid, rt, now_ms);
-                    if let Some(fs) = &mut fstate {
-                        fs.pending[node as usize].remove(&pid);
-                        fs.defs.remove(&pid);
-                    }
-                    if let Some(rs) = &mut rstate {
-                        rs.node_load[node as usize] = rs.node_load[node as usize].saturating_sub(1);
-                    }
-                    if let Some(b) = &buffers {
-                        b.drain(node as usize);
-                    }
-                    // lint: invariant — every part was registered in
-                    // `outstanding` when its query was submitted
-                    let left = outstanding
-                        .get_mut(&qid)
-                        .expect("completed part of a tracked query");
-                    *left -= 1;
-                    if *left > 0 {
-                        continue;
-                    }
-                    outstanding.remove(&qid);
-                    // The whole query is done: record and advance the job.
-                    if sink.enabled() {
-                        sink.emit(
-                            now_ms,
-                            jaws_obs::Event::QueryComplete {
-                                query: qid,
-                                response_ms: rt,
-                            },
-                        );
-                        sink.emit(
-                            now_ms,
-                            jaws_obs::Event::Histogram {
-                                name: "engine.response_ms".to_string(),
-                                sample: rt,
-                            },
-                        );
-                    }
-                    responses.push(rt);
-                    response_log.push((qid, rt));
-                    last_completion = now_ms;
-                    let (ji, qi) = locate[&qid];
-                    let job = &trace.jobs[ji];
-                    remaining_per_job[ji] -= 1;
-                    if remaining_per_job[ji] == 0 {
-                        jobs_completed += 1;
-                    }
-                    if job.kind == JobKind::Ordered && qi + 1 < job.queries.len() {
-                        queue.push(now_ms + job.think_ms, Event::QuerySubmit(ji, qi + 1));
-                    }
-                }
-            }
-            Event::PrefetchDone(node) => {
-                if live.alive[node as usize] {
-                    pipelines[node as usize].set_idle();
-                }
-            }
-            Event::IdleCheck(node) => {
-                if live.alive[node as usize] {
-                    pipelines[node as usize].clear_idle_check();
-                }
-            }
-            Event::Failure(i) => {
-                let ev = failures.events()[i];
-                first_failure_ms.get_or_insert(now_ms);
-                match ev {
-                    FailureEvent::Slowdown { node, factor, .. } => {
-                        if live.alive[node as usize] {
-                            pipelines[node as usize].set_service_multiplier(factor);
-                            node_status[node as usize].slowdown = factor;
-                            if sink.enabled() {
-                                sink.emit(now_ms, jaws_obs::Event::NodeSlowdown { node, factor });
-                            }
-                        }
-                    }
-                    FailureEvent::Crash { node, survivor, .. } => {
-                        // FailurePlan::validate rejects plans that crash the
-                        // same node twice, so this assert cannot fire.
-                        assert!(live.alive[node as usize], "node {node} crashed twice");
-                        crash_node(
-                            node,
-                            survivor,
-                            now_ms,
-                            trace,
-                            &locate,
-                            &submit_ms,
-                            &mut live,
-                            // lint: invariant — run_trace asserts the plan is
-                            // empty unless the cluster route is in force, and
-                            // fstate is Some whenever the plan is non-empty
-                            fstate.as_mut().expect("failure state exists"),
-                            &mut rstate,
-                            &mut node_status,
-                            pipelines,
-                            sink,
-                            &buffers,
-                        );
-                    }
-                }
-            }
-        }
-        dispatch_round(
-            pipelines,
-            &live.alive,
-            now_ms,
-            cfg,
-            &mut queue,
-            &buffers,
-            &mut plans,
-        );
-    }
-
-    if let Some(b) = &buffers {
-        // Nothing should be left (every interaction drains eagerly), but a
-        // truncation break mid-iteration must not lose records.
-        b.drain_all();
-        // Re-wire the pipelines to the shared recorder, exactly as the
-        // cluster executor had them before the run.
-        for (node, p) in pipelines.iter_mut().enumerate() {
-            p.set_recorder(sink.with_node(node as u32));
-        }
-    }
-
-    if responses.len() < total_queries {
-        truncated = true;
-    }
-    if truncated {
-        // Queries still queued will never complete; let schedulers that keep
-        // per-query bookkeeping (QoS deadlines) retire it instead of leaking
-        // it — scheduler instances outlive the trace in the daemon direction.
-        for (node, p) in pipelines.iter_mut().enumerate() {
-            if live.alive[node] {
-                p.retire_pending(now_ms);
-            }
-        }
-    }
-    if sink.enabled() {
-        sink.emit(
-            now_ms,
-            jaws_obs::Event::Counter {
-                name: "engine.queries_completed".to_string(),
-                value: responses.len() as u64,
-            },
-        );
-        sink.emit(
-            now_ms,
-            jaws_obs::Event::Counter {
-                name: "engine.jobs_completed".to_string(),
-                value: jobs_completed,
-            },
-        );
-    }
-    EngineOutcome {
-        totals: RunTotals {
-            responses,
-            jobs_completed,
-            first_arrival,
-            last_completion,
-            truncated,
-        },
-        response_log,
-        node_status,
-        first_failure_ms,
-        replication: rstate.map(|rs| rs.dir.summary()),
-    }
-}
-
-/// Computes the per-node parts of `q` under the replica overlay: records each
-/// footprint atom in the access histogram, applies the promotion/demotion
-/// transitions the refreshed windows trigger, routes every atom to the
-/// least-loaded live candidate (slab owner or replica), and regroups the
-/// atoms into per-target parts. Two declaration-consistency duties ride
-/// along, in deterministic order:
-///
-/// * **withdrawals** — a statically-owning node whose every atom diverted
-///   away holds a declared part id that will never arrive; job-aware gating
-///   would stall its partners until the gate timeout, so the id is withdrawn
-///   ([`crate::scheduler_api::Scheduler::query_withdrawn`] via the pipeline);
-/// * **just-in-time declarations** — a replica host outside the job's static
-///   projection has never heard of the incoming part id (JAWS₂ gating
-///   requires every available query to be declared), so a synthetic
-///   single-query job (id namespace [`REPLICA_DECL_BIT`]) declares it first.
-///   Single-query jobs never form gating alignments, so the declaration
-///   cannot distort schedule quality.
-#[allow(clippy::too_many_arguments)]
-fn replicated_fan_out(
-    rs: &mut ReplicationState,
-    fstate: &mut Option<FailureState>,
-    q: &Query,
-    job: &Job,
-    observe: bool,
-    now_ms: f64,
-    live: &LiveRouting<'_>,
-    pipelines: &mut [NodePipeline],
-    sink: &ObsSink,
-    buffers: &Option<TraceBuffers<'_>>,
-    scratch: &mut EngineScratch,
-    outstanding: &mut BTreeMap<QueryId, u32>,
-) {
-    scratch.actions.clear();
-    scratch.owner_flag.iter_mut().for_each(|f| *f = false);
-    for &(m, c) in &q.footprint.atoms {
-        let owner = live.node_of(m);
-        scratch.owner_flag[owner as usize] = true;
-        let target = rs.dir.route_atom(
-            m,
-            owner,
-            now_ms,
-            &live.alive,
-            &rs.node_load,
-            &mut scratch.actions,
-        );
-        scratch.lanes.push(target as usize, (m, c));
-    }
-    if sink.enabled() {
-        for a in &scratch.actions {
-            let ev = match *a {
-                ReplicaAction::Promoted {
-                    morton,
-                    node,
-                    window_accesses,
-                } => jaws_obs::Event::ReplicaPromoted {
-                    morton: morton.raw(),
-                    node,
-                    window_accesses,
-                },
-                ReplicaAction::Demoted { morton, node } => jaws_obs::Event::ReplicaDropped {
-                    morton: morton.raw(),
-                    node,
-                    crashed: false,
-                },
-                ReplicaAction::Routed {
-                    morton,
-                    owner,
-                    replica,
-                } => jaws_obs::Event::ReplicaRouted {
-                    query: q.id,
-                    morton: morton.raw(),
-                    owner,
-                    replica,
-                },
-            };
-            sink.emit(now_ms, ev);
-        }
-    }
-    // Withdrawals before deliveries, so gating state is settled when the
-    // diverted parts arrive.
-    for (node, pipeline) in pipelines.iter_mut().enumerate() {
-        if !scratch.owner_flag[node] || scratch.lanes.lane_len(node) > 0 {
-            continue;
-        }
-        let pid = part_id(q.id, node as u32);
-        if rs.declared[node].remove(&pid) {
-            if let Some(fs) = fstate {
-                fs.declared[node].remove(&pid);
-            }
-            pipeline.query_withdrawn(pid, now_ms);
-            if let Some(b) = buffers {
-                b.drain(node);
-            }
-        }
-    }
-    // Build the parts and run every just-in-time declaration first (ascending
-    // node order) — the trace byte-stream pins declarations ahead of the
-    // first delivery.
-    debug_assert!(scratch.parts.is_empty(), "parts scratch left dirty");
-    for (node, pipeline) in pipelines.iter_mut().enumerate() {
-        if scratch.lanes.lane_len(node) == 0 {
-            continue;
-        }
-        let atoms = scratch.lanes.take_lane(node);
-        let part = Query {
-            id: part_id(q.id, node as u32),
-            user: q.user,
-            op: q.op,
-            timestep: q.timestep,
-            footprint: Footprint::from_pairs_in_place(atoms),
         };
-        if !rs.declared[node].contains(&part.id) {
-            rs.decls += 1;
-            let decl = Job {
-                id: REPLICA_DECL_BIT | rs.decls,
-                user: job.user,
-                kind: job.kind,
-                campaign: job.campaign,
-                queries: vec![part.clone()],
-                arrival_ms: job.arrival_ms,
-                think_ms: job.think_ms,
-            };
-            rs.declared[node].insert(part.id);
-            if let Some(fs) = fstate {
-                fs.declared[node].insert(part.id);
-            }
-            pipeline.job_declared(&decl, now_ms);
-            if let Some(b) = buffers {
-                b.drain(node);
-            }
-        }
-        scratch.parts.push((node as u32, part));
-    }
-    outstanding.insert(q.id, scratch.parts.len() as u32);
-    // Deliveries in ascending node order; each part's footprint buffer goes
-    // back to its lane once the pipeline has taken what it needs.
-    let mut parts = std::mem::take(&mut scratch.parts);
-    for (node, part) in &mut parts {
-        rs.node_load[*node as usize] += 1;
-        deliver_part(
-            *node, part, q.id, observe, job.id, now_ms, fstate, pipelines, sink, buffers,
-        );
-        scratch
-            .lanes
-            .restore(*node as usize, std::mem::take(&mut part.footprint.atoms));
-    }
-    parts.clear();
-    scratch.parts = parts;
-}
-
-/// Handles one scripted crash: kills the node in the routing overlay, then
-/// re-dispatches everything it held through the survivor — first declaring
-/// *remnant job* projections so the survivor's job-aware gating knows the
-/// incoming ids, then re-enqueueing the pending parts in ascending part-id
-/// order. Future queries of already-arrived jobs whose atoms now route to the
-/// survivor under a part id it was never told about are declared too, so
-/// their later submission finds a known id.
-#[allow(clippy::too_many_arguments)]
-fn crash_node(
-    node: u32,
-    designated: Option<u32>,
-    now_ms: f64,
-    trace: &Trace,
-    locate: &BTreeMap<QueryId, (usize, usize)>,
-    submit_ms: &BTreeMap<QueryId, f64>,
-    live: &mut LiveRouting<'_>,
-    fs: &mut FailureState,
-    rstate: &mut Option<ReplicationState>,
-    node_status: &mut [NodeStatus],
-    pipelines: &mut [NodePipeline],
-    sink: &ObsSink,
-    buffers: &Option<TraceBuffers<'_>>,
-) {
-    let surv = live.crash(node, designated);
-    fs.crashes += 1;
-    let moved = std::mem::take(&mut fs.pending[node as usize]);
-    node_status[node as usize].failed = true;
-    node_status[node as usize].redispatched_parts = moved.len() as u64;
-    if sink.enabled() {
-        sink.emit(
-            now_ms,
-            jaws_obs::Event::NodeFailed {
-                node,
-                survivor: surv,
-                redispatched: moved.len() as u64,
-            },
-        );
-    }
-    if let Some(rs) = rstate {
-        // The dead node's replicas leave the routing table (its slab itself
-        // re-chains through `LiveRouting` exactly as without replication),
-        // and the load it carried moves to the survivor along with the parts.
-        for m in rs.dir.drop_node(node) {
-            if sink.enabled() {
-                sink.emit(
-                    now_ms,
-                    jaws_obs::Event::ReplicaDropped {
-                        morton: m.raw(),
-                        node,
-                        crashed: true,
-                    },
-                );
-            }
-        }
-        let moved_load = std::mem::take(&mut rs.node_load[node as usize]);
-        debug_assert_eq!(moved_load, moved.len() as u64, "load tracks pending");
-        rs.node_load[surv as usize] += moved_load;
     }
 
-    // Remnant declarations, grouped per trace job in ascending job index;
-    // within a job, queries stay in sequence order (ties on the same query —
-    // several re-dispatched parts of one query — break by part id).
-    let mut remnants: BTreeMap<usize, Vec<(usize, QueryId, Query)>> = BTreeMap::new();
-    for &pid in &moved {
-        let qid = orig_id(pid);
-        let (ji, qi) = locate[&qid];
-        // lint: invariant — every pending part stored its definition at
-        // submission time
-        let def = fs.defs.get(&pid).expect("pending part has a definition");
-        remnants.entry(ji).or_default().push((qi, pid, def.clone()));
-    }
-    for (ji, job) in trace.jobs.iter().enumerate() {
-        if !fs.arrived[ji] {
-            // Unarrived jobs project through the post-crash routing at their
-            // arrival; nothing to declare early.
-            continue;
+    /// Static-slab fan-out: scatters the footprint into per-node lanes and
+    /// delivers one part per non-empty lane, in ascending node order.
+    /// Returns the number of parts.
+    fn slab_fan_out(&mut self, q: &Query, job_id: u64, observe: bool) -> u32 {
+        for &(m, c) in &q.footprint.atoms {
+            let node = self.live.node_of(m) as usize;
+            self.fan_out.lanes[node].push((m, c));
         }
-        for (qi, q) in job.queries.iter().enumerate() {
-            if submit_ms.contains_key(&q.id) {
-                continue; // submitted (or already complete): not a future query
-            }
-            let atoms: Vec<(MortonKey, u32)> = q
-                .footprint
-                .atoms
-                .iter()
-                .copied()
-                .filter(|&(m, _)| live.node_of(m) == surv)
-                .collect();
-            if atoms.is_empty() {
+        let mut parts = 0;
+        for node in 0..self.fan_out.lanes.len() {
+            if self.fan_out.lanes[node].is_empty() {
                 continue;
             }
-            let pid = part_id(q.id, surv);
-            if fs.declared[surv as usize].contains(&pid) {
-                continue; // the survivor's own projection already covers it
-            }
-            remnants.entry(ji).or_default().push((
-                qi,
-                pid,
-                Query {
-                    id: pid,
-                    user: q.user,
-                    op: q.op,
-                    timestep: q.timestep,
-                    footprint: Footprint::from_pairs(atoms),
-                },
-            ));
+            let mut part = self.fan_out.take_part(q, node);
+            self.deliver_part(node as u32, &part, q.id, observe, job_id);
+            self.fan_out.restore(node, &mut part);
+            parts += 1;
         }
-    }
-    for (ji, mut parts) in remnants {
-        parts.sort_by(|a, b| a.0.cmp(&b.0).then(a.1.cmp(&b.1)));
-        let job = &trace.jobs[ji];
-        debug_assert!(
-            job.id < (1 << REMNANT_JOB_BITS),
-            "trace job id exceeds the remnant tag budget"
-        );
-        let remnant = Job {
-            // Tagged with the crash ordinal: distinct from the trace id and
-            // from remnants of earlier crashes.
-            id: (fs.crashes << REMNANT_JOB_BITS) | job.id,
-            user: job.user,
-            kind: job.kind,
-            campaign: job.campaign,
-            queries: parts.into_iter().map(|(_, _, q)| q).collect(),
-            arrival_ms: job.arrival_ms,
-            think_ms: job.think_ms,
-        };
-        fs.declared[surv as usize].extend(remnant.queries.iter().map(|q| q.id));
-        if let Some(rs) = rstate {
-            rs.declared[surv as usize].extend(remnant.queries.iter().map(|q| q.id));
-        }
-        pipelines[surv as usize].job_declared(&remnant, now_ms);
-        if let Some(b) = buffers {
-            b.drain(surv as usize);
-        }
+        parts
     }
 
-    // Re-enqueue the dead node's pending parts through the survivor's
-    // scheduler: recovered work re-enters the utility ranking, it does not
-    // jump the queue.
-    for &pid in &moved {
-        // lint: invariant — every pending part stored its definition at
-        // submission time
-        let def = fs
-            .defs
-            .get(&pid)
-            .expect("pending part has a definition")
-            .clone();
-        if sink.enabled() {
-            sink.emit(
+    /// Computes the per-node parts of `q` under the replica overlay: records
+    /// each footprint atom in the access histogram, applies the
+    /// promotion/demotion transitions the refreshed windows trigger, routes
+    /// every atom to the least-loaded live candidate (slab owner or replica),
+    /// and regroups the atoms into per-target parts. Returns the number of
+    /// parts. Two declaration-consistency duties ride along, in deterministic
+    /// order:
+    ///
+    /// * **withdrawals** — a statically-owning node whose every atom diverted
+    ///   away holds a declared part id that will never arrive; job-aware
+    ///   gating would stall its partners until the gate timeout, so the id is
+    ///   withdrawn ([`crate::scheduler_api::Scheduler::query_withdrawn`] via
+    ///   the pipeline);
+    /// * **just-in-time declarations** — a replica host outside the job's
+    ///   static projection has never heard of the incoming part id (JAWS₂
+    ///   gating requires every available query to be declared), so a
+    ///   synthetic single-query job (id namespace [`REPLICA_DECL_BIT`])
+    ///   declares it first. Single-query jobs never form gating alignments,
+    ///   so the declaration cannot distort schedule quality.
+    fn replicated_fan_out(
+        &mut self,
+        rs: &mut ReplicationState,
+        q: &Query,
+        job: &Job,
+        observe: bool,
+    ) -> u32 {
+        let now_ms = self.now_ms;
+        let scratch = &mut self.fan_out;
+        scratch.actions.clear();
+        scratch.owner_flag.iter_mut().for_each(|f| *f = false);
+        for &(m, c) in &q.footprint.atoms {
+            let owner = self.live.node_of(m);
+            scratch.owner_flag[owner as usize] = true;
+            let target = rs.dir.route_atom(
+                m,
+                owner,
                 now_ms,
-                jaws_obs::Event::PartRedispatched {
-                    part: pid,
-                    from: node,
-                    to: surv,
+                &self.live.alive,
+                &rs.node_load,
+                &mut scratch.actions,
+            );
+            scratch.lanes[target as usize].push((m, c));
+        }
+        if self.sink.enabled() {
+            for a in &scratch.actions {
+                self.sink.emit(now_ms, replica_event(a, q.id));
+            }
+        }
+        // Withdrawals before deliveries, so gating state is settled when the
+        // diverted parts arrive.
+        for (node, pipeline) in self.pipelines.iter_mut().enumerate() {
+            if !scratch.owner_flag[node] || !scratch.lanes[node].is_empty() {
+                continue;
+            }
+            let pid = part_id(q.id, node as u32);
+            if rs.declared[node].remove(&pid) {
+                if let Some(fs) = &mut self.failure {
+                    fs.declared[node].remove(&pid);
+                }
+                pipeline.query_withdrawn(pid, now_ms);
+            }
+        }
+        // Build the parts and run every just-in-time declaration first
+        // (ascending node order) — the trace byte-stream pins declarations
+        // ahead of the first delivery.
+        debug_assert!(scratch.parts.is_empty(), "parts scratch left dirty");
+        for (node, pipeline) in self.pipelines.iter_mut().enumerate() {
+            if scratch.lanes[node].is_empty() {
+                continue;
+            }
+            let part = scratch.take_part(q, node);
+            if !rs.declared[node].contains(&part.id) {
+                rs.decls += 1;
+                let decl = Job {
+                    id: REPLICA_DECL_BIT | rs.decls,
+                    user: job.user,
+                    kind: job.kind,
+                    campaign: job.campaign,
+                    queries: vec![part.clone()],
+                    arrival_ms: job.arrival_ms,
+                    think_ms: job.think_ms,
+                };
+                rs.declared[node].insert(part.id);
+                if let Some(fs) = &mut self.failure {
+                    fs.declared[node].insert(part.id);
+                }
+                pipeline.job_declared(&decl, now_ms);
+            }
+            scratch.parts.push((node as u32, part));
+        }
+        // Deliveries in ascending node order; each part's footprint buffer
+        // goes back to its lane once the pipeline has taken what it needs.
+        let mut parts = std::mem::take(&mut scratch.parts);
+        for (node, part) in &mut parts {
+            rs.node_load[*node as usize] += 1;
+            self.deliver_part(*node, part, q.id, observe, job.id);
+            self.fan_out.restore(*node as usize, part);
+        }
+        let count = parts.len() as u32;
+        parts.clear();
+        self.fan_out.parts = parts;
+        count
+    }
+
+    /// Hands one part query to its owning pipeline: emits the routing record,
+    /// registers failure-plan bookkeeping, feeds the trajectory predictor
+    /// (for ordered follow-ups) and makes the part available to the node's
+    /// scheduler.
+    fn deliver_part(&mut self, node: u32, part: &Query, query: QueryId, observe: bool, job: u64) {
+        if self.sink.enabled() {
+            self.sink.emit(
+                self.now_ms,
+                jaws_obs::Event::PartRouted {
+                    query,
+                    part: part.id,
+                    node,
+                    atoms: part.footprint.atoms.len() as u32,
                 },
             );
         }
-        fs.pending[surv as usize].insert(pid);
-        pipelines[surv as usize].query_available(&def, now_ms);
-        if let Some(b) = buffers {
-            b.drain(surv as usize);
+        if let Some(fs) = &mut self.failure {
+            fs.pending[node as usize].insert(part.id);
+            fs.defs.insert(part.id, part.clone());
         }
-    }
-}
-
-/// What one node decided in a dispatch round. Planning is node-local (it
-/// touches only that node's pipeline), so plans can be computed on `jaws-par`
-/// worker threads; the follow-up events are then pushed in ascending node
-/// order by [`dispatch_round`], reproducing the serial engine's insertion-id
-/// sequence exactly.
-enum DispatchPlan {
-    /// The node started a batch: (completed part ids, service time).
-    Batch(Vec<QueryId>, f64),
-    /// The node started a speculative read costing `io_ms`.
-    Prefetch(f64),
-    /// Gated work exists; re-poll after `idle_recheck_ms`.
-    IdleCheck,
-    /// Busy, dead, or nothing to do.
-    Nothing,
-}
-
-/// Starts the next batch on `pipeline` if it is free and work is schedulable;
-/// otherwise spends the idle capacity on a speculative read, or asks for an
-/// idle re-poll if gated work exists. Mutates only `pipeline` — the decision
-/// is returned as a [`DispatchPlan`] instead of pushed, so planning can run
-/// off-thread.
-fn dispatch_plan(pipeline: &mut NodePipeline, now_ms: f64) -> DispatchPlan {
-    if pipeline.is_busy() {
-        return DispatchPlan::Nothing;
-    }
-    match pipeline.next_batch(now_ms) {
-        Some(batch) => {
-            debug_assert!(!batch.is_empty(), "scheduler produced an empty batch");
-            let service_ms = pipeline.charge_batch(&batch, now_ms);
-            DispatchPlan::Batch(batch.completing_queries, service_ms)
+        let p = &mut self.pipelines[node as usize];
+        if observe {
+            p.observe(job, part);
         }
-        None => {
-            // Nothing schedulable: spend the idle capacity on a speculative
-            // read, if the trajectory predictor has one.
-            if let Some(io_ms) = pipeline.try_prefetch(now_ms) {
-                DispatchPlan::Prefetch(io_ms)
-            } else if pipeline.wants_idle_check() {
-                // If gated work exists, poll again soon so the starvation
-                // valve can fire even with no other events.
-                DispatchPlan::IdleCheck
-            } else {
-                DispatchPlan::Nothing
+        p.query_available(part, self.now_ms);
+    }
+
+    /// A node finished a batch: completes each part, and each query whose
+    /// last part this was.
+    fn on_batch_done(&mut self, node: u32, completed_parts: Vec<QueryId>) {
+        let n = node as usize;
+        if !self.live.alive[n] {
+            // The node died mid-batch: its completion never happens and
+            // these parts were re-dispatched at crash time.
+            return;
+        }
+        self.pipelines[n].set_idle();
+        for pid in completed_parts {
+            let qid = self.live.base.original_id(pid);
+            let (ji, qi) = self.locate[&qid];
+            let pos = self.first_pos[ji] + qi;
+            // lint: invariant — schedulers only complete queries previously
+            // handed to query_available
+            let submitted = self.submit_ms[pos].expect("completed query was submitted");
+            let rt = self.now_ms - submitted;
+            self.pipelines[n].complete_part(pid, rt, self.now_ms);
+            if let Some(fs) = &mut self.failure {
+                fs.pending[n].remove(&pid);
+                fs.defs.remove(&pid);
+            }
+            if let Some(rs) = &mut self.replication {
+                rs.node_load[n] = rs.node_load[n].saturating_sub(1);
+            }
+            // lint: invariant — every part was counted in `outstanding`
+            // when its query was submitted, and completes exactly once
+            let left = self.outstanding[pos]
+                .checked_sub(1)
+                .expect("completed part of a tracked query");
+            self.outstanding[pos] = left;
+            if left == 0 {
+                self.complete_query(ji, qi, rt);
             }
         }
     }
-}
 
-/// Free nodes below which a dispatch round plans inline instead of on the
-/// `jaws_par` pool. A delta-core planning step costs ~20–60 µs (BENCH_8)
-/// while `std::thread::scope` pays a fresh OS-thread spawn of the same order
-/// per worker per call, so fanning out for two or three free nodes loses
-/// wall-clock; bench-chosen, wall-clock only (plans are reassembled in node
-/// order either way).
-const PAR_DISPATCH_MIN_FREE: usize = 4;
-
-/// One per-event dispatch round over all live pipelines.
-///
-/// Nodes share no state between events (each owns its database, cache and
-/// scheduler), so when several are free their planning steps run concurrently
-/// via [`jaws_par::map_mut`]; with fewer than [`PAR_DISPATCH_MIN_FREE`] free
-/// nodes (the common saturated case is one) the round stays inline and
-/// spawns nothing. Dead nodes are skipped entirely. Plans are applied — and
-/// any buffered trace records drained — in ascending node order, so event
-/// ids, reports and JSONL traces are byte-identical at any thread count.
-// lint: hotpath
-#[allow(clippy::too_many_arguments)]
-fn dispatch_round(
-    pipelines: &mut [NodePipeline],
-    alive: &[bool],
-    now_ms: f64,
-    cfg: &SimConfig,
-    queue: &mut EventQueue,
-    buffers: &Option<TraceBuffers<'_>>,
-    plans: &mut Vec<DispatchPlan>,
-) {
-    let free = pipelines
-        .iter()
-        .enumerate()
-        .filter(|(i, p)| alive[*i] && !p.is_busy())
-        .count();
-    plans.clear();
-    if free >= PAR_DISPATCH_MIN_FREE {
-        *plans = jaws_par::map_mut(pipelines, |i, p| {
-            if alive[i] {
-                dispatch_plan(p, now_ms)
-            } else {
-                DispatchPlan::Nothing
-            }
-        });
-    } else {
-        plans.extend(pipelines.iter_mut().enumerate().map(|(i, p)| {
-            if alive[i] {
-                dispatch_plan(p, now_ms)
-            } else {
-                DispatchPlan::Nothing
-            }
-        }));
-    }
-    for (node, plan) in plans.drain(..).enumerate() {
-        if let Some(b) = buffers {
-            b.drain(node);
+    /// The last part of query `(ji, qi)` completed: record the response and
+    /// advance the job (an ordered job's successor follows after think time).
+    fn complete_query(&mut self, ji: usize, qi: usize, rt: f64) {
+        let job = &self.trace.jobs[ji];
+        let qid = job.queries[qi].id;
+        if self.sink.enabled() {
+            self.sink.emit(
+                self.now_ms,
+                jaws_obs::Event::QueryComplete {
+                    query: qid,
+                    response_ms: rt,
+                },
+            );
+            self.sink.emit(
+                self.now_ms,
+                jaws_obs::Event::Histogram {
+                    name: "engine.response_ms".to_string(),
+                    sample: rt,
+                },
+            );
         }
-        match plan {
-            DispatchPlan::Batch(completed, service_ms) => {
-                queue.push(
-                    now_ms + service_ms,
-                    Event::BatchDone(node as u32, completed),
+        self.responses.push(rt);
+        self.response_log.push((qid, rt));
+        self.last_completion = self.now_ms;
+        self.remaining_per_job[ji] -= 1;
+        if self.remaining_per_job[ji] == 0 {
+            self.jobs_completed += 1;
+        }
+        if job.kind == JobKind::Ordered && qi + 1 < job.queries.len() {
+            self.queue
+                .push(self.now_ms + job.think_ms, Event::QuerySubmit(ji, qi + 1));
+        }
+    }
+
+    /// A node's speculative read finished.
+    fn on_prefetch_done(&mut self, node: u32) {
+        if self.live.alive[node as usize] {
+            self.pipelines[node as usize].set_idle();
+        }
+    }
+
+    /// A node's idle re-poll fired; the dispatch round that follows re-polls.
+    fn on_idle_check(&mut self, node: u32) {
+        if self.live.alive[node as usize] {
+            self.pipelines[node as usize].clear_idle_check();
+        }
+    }
+
+    /// Scripted failure event `i` fired: a straggler slowdown or a crash.
+    fn on_failure(&mut self, i: usize) {
+        self.first_failure_ms.get_or_insert(self.now_ms);
+        match self.failures.events()[i] {
+            FailureEvent::Slowdown { node, factor, .. } => {
+                if self.live.alive[node as usize] {
+                    self.pipelines[node as usize].set_service_multiplier(factor);
+                    self.node_status[node as usize].slowdown = factor;
+                    if self.sink.enabled() {
+                        self.sink
+                            .emit(self.now_ms, jaws_obs::Event::NodeSlowdown { node, factor });
+                    }
+                }
+            }
+            FailureEvent::Crash { node, survivor, .. } => {
+                // FailurePlan::validate rejects plans that crash the same
+                // node twice, so this assert cannot fire.
+                assert!(self.live.alive[node as usize], "node {node} crashed twice");
+                self.crash(node, survivor);
+            }
+        }
+    }
+
+    /// Handles one scripted crash: kills the node in the routing overlay,
+    /// then re-dispatches everything it held through the survivor — first
+    /// declaring *remnant job* projections ([`Engine::remnants`]) so the
+    /// survivor's job-aware gating knows the incoming ids, then re-enqueueing
+    /// the pending parts in ascending part-id order.
+    fn crash(&mut self, node: u32, designated: Option<u32>) {
+        // Taken out for the crash and put back at the end, so the handler can
+        // read the engine's tables while it updates the failure state.
+        // lint: invariant — Engine::new asserts the plan is empty unless the
+        // cluster route is in force, and the failure state exists whenever
+        // the plan is non-empty
+        let mut fs = self.failure.take().expect("failure state exists");
+        let now_ms = self.now_ms;
+        let surv = self.live.crash(node, designated);
+        fs.crashes += 1;
+        let moved = std::mem::take(&mut fs.pending[node as usize]);
+        self.node_status[node as usize].failed = true;
+        self.node_status[node as usize].redispatched_parts = moved.len() as u64;
+        if self.sink.enabled() {
+            self.sink.emit(
+                now_ms,
+                jaws_obs::Event::NodeFailed {
+                    node,
+                    survivor: surv,
+                    redispatched: moved.len() as u64,
+                },
+            );
+        }
+        if let Some(rs) = &mut self.replication {
+            // The dead node's replicas leave the routing table (its slab
+            // itself re-chains through `LiveRouting` exactly as without
+            // replication), and the load it carried moves to the survivor
+            // along with the parts.
+            for m in rs.dir.drop_node(node) {
+                if self.sink.enabled() {
+                    self.sink.emit(
+                        now_ms,
+                        jaws_obs::Event::ReplicaDropped {
+                            morton: m.raw(),
+                            node,
+                            crashed: true,
+                        },
+                    );
+                }
+            }
+            let moved_load = std::mem::take(&mut rs.node_load[node as usize]);
+            debug_assert_eq!(moved_load, moved.len() as u64, "load tracks pending");
+            rs.node_load[surv as usize] += moved_load;
+        }
+
+        for (ji, mut parts) in self.remnants(&fs, surv, &moved) {
+            parts.sort_by(|a, b| a.0.cmp(&b.0).then(a.1.cmp(&b.1)));
+            let job = &self.trace.jobs[ji];
+            debug_assert!(
+                job.id < (1 << REMNANT_JOB_BITS),
+                "trace job id exceeds the remnant tag budget"
+            );
+            let remnant = Job {
+                // Tagged with the crash ordinal: distinct from the trace id
+                // and from remnants of earlier crashes.
+                id: (fs.crashes << REMNANT_JOB_BITS) | job.id,
+                user: job.user,
+                kind: job.kind,
+                campaign: job.campaign,
+                queries: parts.into_iter().map(|(_, _, q)| q).collect(),
+                arrival_ms: job.arrival_ms,
+                think_ms: job.think_ms,
+            };
+            fs.declared[surv as usize].extend(remnant.queries.iter().map(|q| q.id));
+            if let Some(rs) = &mut self.replication {
+                rs.declared[surv as usize].extend(remnant.queries.iter().map(|q| q.id));
+            }
+            self.pipelines[surv as usize].job_declared(&remnant, now_ms);
+        }
+
+        // Re-enqueue the dead node's pending parts through the survivor's
+        // scheduler: recovered work re-enters the utility ranking, it does
+        // not jump the queue.
+        for &pid in &moved {
+            if self.sink.enabled() {
+                self.sink.emit(
+                    now_ms,
+                    jaws_obs::Event::PartRedispatched {
+                        part: pid,
+                        from: node,
+                        to: surv,
+                    },
                 );
             }
-            DispatchPlan::Prefetch(io_ms) => {
-                queue.push(now_ms + io_ms, Event::PrefetchDone(node as u32));
-            }
-            DispatchPlan::IdleCheck => {
-                queue.push(now_ms + cfg.idle_recheck_ms, Event::IdleCheck(node as u32));
-            }
-            DispatchPlan::Nothing => {}
+            fs.pending[surv as usize].insert(pid);
+            // lint: invariant — every pending part stored its definition at
+            // submission time
+            let def = fs.defs.get(&pid).expect("pending part has a definition");
+            self.pipelines[surv as usize].query_available(def, now_ms);
         }
+        self.failure = Some(fs);
+    }
+
+    /// The remnant job projections a crash declares to the survivor `surv`,
+    /// grouped per trace job in ascending job index as `(query index, part
+    /// id, part)`: every part `moved` off the dead node, plus every future
+    /// query of an already-arrived job whose atoms now route to the survivor
+    /// under a part id it was never told about (so its later submission finds
+    /// a known id).
+    fn remnants(
+        &self,
+        fs: &FailureState,
+        surv: u32,
+        moved: &BTreeSet<QueryId>,
+    ) -> BTreeMap<usize, Vec<(usize, QueryId, Query)>> {
+        let mut remnants: BTreeMap<usize, Vec<(usize, QueryId, Query)>> = BTreeMap::new();
+        for &pid in moved {
+            let (ji, qi) = self.locate[&orig_id(pid)];
+            // lint: invariant — every pending part stored its definition at
+            // submission time
+            let def = fs.defs.get(&pid).expect("pending part has a definition");
+            remnants.entry(ji).or_default().push((qi, pid, def.clone()));
+        }
+        for (ji, job) in self.trace.jobs.iter().enumerate() {
+            if !fs.arrived[ji] {
+                // Unarrived jobs project through the post-crash routing at
+                // their arrival; nothing to declare early.
+                continue;
+            }
+            for (qi, q) in job.queries.iter().enumerate() {
+                if self.submit_ms[self.first_pos[ji] + qi].is_some() {
+                    continue; // submitted (or already complete): not a future query
+                }
+                let atoms: Vec<(MortonKey, u32)> = q
+                    .footprint
+                    .atoms
+                    .iter()
+                    .copied()
+                    .filter(|&(m, _)| self.live.node_of(m) == surv)
+                    .collect();
+                if atoms.is_empty() {
+                    continue;
+                }
+                let pid = part_id(q.id, surv);
+                if fs.declared[surv as usize].contains(&pid) {
+                    continue; // the survivor's own projection already covers it
+                }
+                remnants.entry(ji).or_default().push((
+                    qi,
+                    pid,
+                    Query {
+                        id: pid,
+                        user: q.user,
+                        op: q.op,
+                        timestep: q.timestep,
+                        footprint: Footprint::from_pairs(atoms),
+                    },
+                ));
+            }
+        }
+        remnants
+    }
+
+    /// One dispatch round over the live pipelines, in ascending node order:
+    /// each free node starts its next batch if work is schedulable, otherwise
+    /// spends the idle capacity on a speculative read, or asks for an idle
+    /// re-poll if gated work exists. Each node's follow-up event is pushed as
+    /// it is planned.
+    // lint: hotpath
+    fn dispatch_round(&mut self) {
+        let now_ms = self.now_ms;
+        for (node, p) in self.pipelines.iter_mut().enumerate() {
+            if !self.live.alive[node] || p.is_busy() {
+                continue;
+            }
+            let node = node as u32;
+            if let Some(batch) = p.next_batch(now_ms) {
+                debug_assert!(!batch.is_empty(), "scheduler produced an empty batch");
+                let service_ms = p.charge_batch(&batch, now_ms);
+                self.queue.push(
+                    now_ms + service_ms,
+                    Event::BatchDone(node, batch.completing_queries),
+                );
+            } else if let Some(io_ms) = p.try_prefetch(now_ms) {
+                // Nothing schedulable: spend the idle capacity on a
+                // speculative read, if the trajectory predictor has one.
+                self.queue.push(now_ms + io_ms, Event::PrefetchDone(node));
+            } else if p.wants_idle_check() {
+                // If gated work exists, poll again soon so the starvation
+                // valve can fire even with no other events.
+                self.queue
+                    .push(now_ms + self.cfg.idle_recheck_ms, Event::IdleCheck(node));
+            }
+        }
+    }
+
+    /// Closes the run: retires work a truncated run left queued, emits the
+    /// end-of-run counters and hands the totals to the report layer.
+    fn finish(self) -> EngineOutcome {
+        let now_ms = self.now_ms;
+        let truncated = self.truncated || self.responses.len() < self.submit_ms.len();
+        if truncated {
+            // Queries still queued will never complete; let schedulers that
+            // keep per-query bookkeeping (QoS deadlines) retire it instead of
+            // leaking it — scheduler instances outlive the trace in the
+            // daemon direction.
+            for (node, p) in self.pipelines.iter_mut().enumerate() {
+                if self.live.alive[node] {
+                    p.retire_pending(now_ms);
+                }
+            }
+        }
+        if self.sink.enabled() {
+            self.sink.emit(
+                now_ms,
+                jaws_obs::Event::Counter {
+                    name: "engine.queries_completed".to_string(),
+                    value: self.responses.len() as u64,
+                },
+            );
+            self.sink.emit(
+                now_ms,
+                jaws_obs::Event::Counter {
+                    name: "engine.jobs_completed".to_string(),
+                    value: self.jobs_completed,
+                },
+            );
+        }
+        EngineOutcome {
+            totals: RunTotals {
+                responses: self.responses,
+                jobs_completed: self.jobs_completed,
+                first_arrival: self.first_arrival,
+                last_completion: self.last_completion,
+                truncated,
+            },
+            response_log: self.response_log,
+            node_status: self.node_status,
+            first_failure_ms: self.first_failure_ms,
+            replication: self.replication.map(|rs| rs.dir.summary()),
+        }
+    }
+}
+
+/// The trace record of one replica transition, attributed to query `query`.
+fn replica_event(a: &ReplicaAction, query: QueryId) -> jaws_obs::Event {
+    match *a {
+        ReplicaAction::Promoted {
+            morton,
+            node,
+            window_accesses,
+        } => jaws_obs::Event::ReplicaPromoted {
+            morton: morton.raw(),
+            node,
+            window_accesses,
+        },
+        ReplicaAction::Demoted { morton, node } => jaws_obs::Event::ReplicaDropped {
+            morton: morton.raw(),
+            node,
+            crashed: false,
+        },
+        ReplicaAction::Routed {
+            morton,
+            owner,
+            replica,
+        } => jaws_obs::Event::ReplicaRouted {
+            query,
+            morton: morton.raw(),
+            owner,
+            replica,
+        },
     }
 }
 

@@ -603,3 +603,176 @@ fn reports_and_traces_are_byte_identical_at_any_thread_count() {
         }
     }
 }
+
+/// The `--smoke` geometry of the bench harness (`jaws_bench::exp::smoke_db`):
+/// 64 atoms per timestep, field seed `exp::TRACE_SEED`.
+fn smoke_db() -> DbConfig {
+    DbConfig {
+        seed: SMOKE_SEED,
+        ..db_config()
+    }
+}
+
+/// `jaws_bench::exp::TRACE_SEED`: the smoke runs' trace and field seed.
+const SMOKE_SEED: u64 = 2009_0720;
+
+/// One single-node JAWS₂ smoke replay over a database in `mode`: masked
+/// report plus completion log.
+fn serialized_smoke_run(mode: DataMode) -> String {
+    let trace = TraceGenerator::new(GenConfig::small(SMOKE_SEED)).generate();
+    let db = build_db(
+        smoke_db(),
+        CostModel::paper_testbed(),
+        mode,
+        16,
+        CachePolicyKind::Urc,
+    );
+    let sched = build_scheduler(
+        SchedulerKind::Jaws2 { batch_k: 15 },
+        MetricParams::paper_testbed(),
+        25,
+        10_000.0,
+    );
+    let mut ex = Executor::new(db, sched, SimConfig::default());
+    let report = ex.run(&trace);
+    assert!(
+        ex.db().materializations() > 0 || mode == DataMode::Virtual,
+        "a synthetic replay must materialize the payloads it misses"
+    );
+    let report_json =
+        mask_wallclock_fields(&serde_json::to_string(&report).expect("report serializes"));
+    let log_json = serde_json::to_string(ex.response_log()).expect("log serializes");
+    format!("{report_json}\n{log_json}")
+}
+
+/// Payload independence: synthesized voxel payloads never influence a
+/// scheduling decision or a charged cost, so a `Synthetic` replay and a
+/// `Virtual` one produce byte-identical masked reports and completion logs.
+/// The 4-node cluster twin of this pin lives in `cluster.rs` (the public
+/// cluster constructor always opens `Virtual` databases).
+#[test]
+fn synthetic_and_virtual_payloads_give_identical_reports() {
+    assert_eq!(
+        serialized_smoke_run(DataMode::Synthetic),
+        serialized_smoke_run(DataMode::Virtual),
+        "the payload mode leaked into the single-node report"
+    );
+}
+
+/// The three deployment shapes the drain test crosses.
+#[derive(Debug, Clone, Copy)]
+enum Route {
+    /// The single-node executor (no failures: there is no survivor).
+    Single,
+    /// Four nodes over static Morton slabs.
+    Slabs,
+    /// Four nodes with the hot-atom replica overlay on.
+    Replicated,
+}
+
+/// Randomized cases per (scheduler, route) pair of the drain test.
+const DRAIN_CASES: usize = 2;
+
+/// Asserts that a run drained `trace`: not truncated, every query and job
+/// completed, and the completion log holding every trace query id exactly
+/// once.
+fn assert_drained(
+    what: &str,
+    trace: &jaws_workload::Trace,
+    report: &jaws_sim::RunReport,
+    log: &[(u64, f64)],
+) {
+    assert!(!report.truncated, "{what}: run truncated");
+    assert_eq!(
+        report.queries_completed,
+        trace.query_count() as u64,
+        "{what}: queries left behind"
+    );
+    assert_eq!(
+        report.jobs_completed,
+        trace.jobs.len() as u64,
+        "{what}: jobs left behind"
+    );
+    let mut logged: Vec<u64> = log.iter().map(|&(q, _)| q).collect();
+    logged.sort_unstable();
+    let mut expected: Vec<u64> = trace
+        .jobs
+        .iter()
+        .flat_map(|j| j.queries.iter().map(|q| q.id))
+        .collect();
+    expected.sort_unstable();
+    assert_eq!(
+        logged, expected,
+        "{what}: response log is not one entry per trace query"
+    );
+}
+
+/// Liveness over randomized inputs: a random small trace (paced as generated
+/// or compressed 20× into a capacity-bound burst) drains completely under
+/// every scheduler family on every route, and on the cluster routes under a
+/// random valid [`FailurePlan`] — at most one crash (random node, random
+/// survivor rule) at a random fraction of the healthy makespan, plus an
+/// optional straggler slowdown.
+#[test]
+fn randomized_runs_drain_under_random_failure_plans() {
+    use rand::{Rng, SeedableRng};
+    let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(0x0d7a_1e55);
+    let kinds = [
+        SchedulerKind::Jaws2 { batch_k: 15 },
+        SchedulerKind::LifeRaft2,
+        SchedulerKind::NoShare,
+    ];
+    for _ in 0..DRAIN_CASES {
+        for kind in kinds {
+            for route in [Route::Single, Route::Slabs, Route::Replicated] {
+                let seed: u64 = rng.gen();
+                let speedup = if rng.gen_bool(0.5) { 1.0 } else { 20.0 };
+                let trace = TraceGenerator::new(GenConfig::small(seed))
+                    .generate()
+                    .speedup(speedup);
+                let what = format!("{} {route:?} seed={seed} speedup={speedup}", kind.name());
+                if let Route::Single = route {
+                    let db = build_db(
+                        db_config(),
+                        CostModel::paper_testbed(),
+                        DataMode::Virtual,
+                        16,
+                        CachePolicyKind::Urc,
+                    );
+                    let sched = build_scheduler(kind, MetricParams::paper_testbed(), 25, 10_000.0);
+                    let mut ex = Executor::new(db, sched, SimConfig::default());
+                    let report = ex.run(&trace);
+                    assert_drained(&what, &trace, &report, ex.response_log());
+                    continue;
+                }
+                let mut cfg = cluster_config(kind, 4);
+                if let Route::Replicated = route {
+                    cfg.replication = jaws_sim::ReplicationConfig::on();
+                }
+                let makespan = ClusterExecutor::new(cfg.clone())
+                    .run(&trace)
+                    .aggregate
+                    .makespan_ms;
+                let mut plan = FailurePlan::new(rng.gen());
+                if rng.gen_bool(0.75) {
+                    let at = rng.gen_range(0.0..1.0) * makespan;
+                    let node = rng.gen_range(0..4u32);
+                    plan = if rng.gen_bool(0.5) {
+                        plan.crash_at(at, node)
+                    } else {
+                        plan.crash_with_survivor(at, node, (node + rng.gen_range(1..4u32)) % 4)
+                    };
+                }
+                if rng.gen_bool(0.5) {
+                    let at = rng.gen_range(0.0..1.0) * makespan;
+                    plan = plan.slowdown_at(at, rng.gen_range(0..4u32), rng.gen_range(1.5..8.0));
+                }
+                let what = format!("{what} plan={:?}", plan.events());
+                cfg.failures = plan;
+                let mut ex = ClusterExecutor::new(cfg);
+                let report = ex.run(&trace);
+                assert_drained(&what, &trace, &report.aggregate, ex.response_log());
+            }
+        }
+    }
+}
