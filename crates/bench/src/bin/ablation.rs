@@ -13,13 +13,13 @@
 //!   (§V locality of reference stress): schedulers that co-schedule nearby
 //!   atoms absorb the spill-over in cache.
 
-use jaws_bench::exp;
+use jaws_bench::{cli, exp};
 use jaws_sim::sweep::RunSpec;
 use jaws_sim::{run_parallel, CachePolicyKind, SchedulerKind};
 use jaws_turbdb::CostModel;
 
 fn main() {
-    let trace = exp::select_trace();
+    let trace = exp::select_trace(cli::args(&[cli::QUICK], &[]).quick());
     let base = exp::paper_cost();
     let variants: Vec<(&str, CostModel)> = vec![
         ("baseline", base),

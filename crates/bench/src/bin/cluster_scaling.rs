@@ -17,6 +17,7 @@
 //!   [`jaws_obs::JsonlRecorder`] and write the JSONL trace there (feed it to
 //!   `trace_explain`).
 
+use jaws_bench::cli::{self, Flag, Takes};
 use jaws_bench::exp;
 use jaws_obs::{JsonlRecorder, ObsSink};
 use jaws_sim::{
@@ -24,26 +25,31 @@ use jaws_sim::{
 };
 use std::sync::{Arc, Mutex};
 
-fn cap_ms() -> f64 {
-    std::env::args()
-        .find_map(|a| a.strip_prefix("--cap-ms=").map(str::to_string))
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(1e10)
-}
+const CAP_MS: Flag = Flag {
+    name: "--cap-ms",
+    takes: Takes::Number,
+    help: "simulated-time cap per run (max_sim_ms)",
+};
 
-fn trace_out() -> Option<String> {
-    std::env::args().find_map(|a| a.strip_prefix("--trace-out=").map(str::to_string))
-}
+const TRACE_OUT: Flag = Flag {
+    name: "--trace-out",
+    takes: Takes::Path,
+    help: "write the last run's JSONL observability trace here",
+};
 
 fn main() {
-    let smoke = exp::smoke_mode();
-    let (trace, db, node_counts): (_, _, &[u32]) = if smoke {
+    let args = cli::args(&[cli::QUICK, cli::SMOKE, CAP_MS, TRACE_OUT], &[]);
+    let (trace, db, node_counts): (_, _, &[u32]) = if args.smoke() {
         eprintln!("# --smoke: tiny geometry, 1/2/4 nodes");
         (exp::smoke_trace(), exp::smoke_db(), &[1, 2, 4])
     } else {
-        (exp::select_trace(), exp::paper_db(), &[1, 2, 4, 8])
+        (
+            exp::select_trace(args.quick()),
+            exp::paper_db(),
+            &[1, 2, 4, 8],
+        )
     };
-    let max_sim_ms = cap_ms();
+    let max_sim_ms = args.number(CAP_MS.name).unwrap_or(1e10);
     println!("\nCluster scale-out — JAWS_2 per node, Morton-slab partitioning");
     exp::rule();
     println!(
@@ -59,7 +65,7 @@ fn main() {
         "speedup"
     );
     exp::rule();
-    let trace_path = trace_out();
+    let trace_path = args.path(TRACE_OUT.name);
     let mut last_trace: Option<String> = None;
     let mut base_qps = None;
     for &nodes in node_counts {
@@ -119,7 +125,7 @@ fn main() {
         exp::CACHE_ATOMS
     );
     if let (Some(path), Some(jsonl)) = (trace_path, last_trace) {
-        std::fs::write(&path, jsonl).unwrap_or_else(|e| panic!("cannot write {path}: {e}"));
+        std::fs::write(path, jsonl).unwrap_or_else(|e| panic!("cannot write {path}: {e}"));
         println!("wrote observability trace of the last run to {path}");
     }
 }

@@ -23,10 +23,10 @@
 //! `within_5x`: per-dispatch delta-path cost at the deepest queue must stay
 //! within 5× of the shallowest (~O(Δ), not O(queue)).
 //!
-//! `--smoke` shrinks queue depths and rep counts for CI; `--out=PATH`
-//! overrides the output path.
+//! `--smoke` shrinks queue depths and rep counts for CI and writes under
+//! `target/`; `--out=PATH` overrides the output path.
 
-use jaws_bench::exp;
+use jaws_bench::{cli, exp};
 use jaws_morton::{AtomId, MortonKey};
 use jaws_obs::{JsonlRecorder, ObsSink};
 use jaws_scheduler::delta::reference;
@@ -257,10 +257,8 @@ fn bench_identity(threads: &[usize]) -> Vec<IdentityRow> {
 }
 
 fn main() {
-    let smoke = exp::smoke_mode();
-    let out_path = std::env::args()
-        .find_map(|a| a.strip_prefix("--out=").map(str::to_string))
-        .unwrap_or_else(|| "BENCH_8.json".to_string());
+    let args = cli::args(&[cli::SMOKE, cli::OUT], &[]);
+    let smoke = args.smoke();
     let threads_reported = jaws_par::thread_count();
 
     let (depths, dispatches, full_scan_reps): (&[u64], usize, usize) = if smoke {
@@ -342,7 +340,5 @@ fn main() {
         within_5x,
         identity,
     };
-    let json = serde_json::to_string_pretty(&report).expect("bench report serializes");
-    std::fs::write(&out_path, json + "\n").expect("write bench output");
-    eprintln!("# wrote {out_path}");
+    exp::write_report(&args.out_path("BENCH_8.json"), &report);
 }

@@ -7,11 +7,11 @@
 //!
 //! Run with `--quick` for a 150-job smoke trace.
 
-use jaws_bench::exp;
+use jaws_bench::{cli, exp};
 use jaws_sim::{run_parallel, CachePolicyKind, SchedulerKind};
 
 fn main() {
-    let trace = exp::select_trace();
+    let trace = exp::select_trace(cli::args(&[cli::QUICK], &[]).quick());
     let specs: Vec<_> = SchedulerKind::evaluation_set()
         .iter()
         .map(|&k| exp::base_spec(k.name(), k, CachePolicyKind::LruK))

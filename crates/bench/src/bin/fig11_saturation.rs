@@ -8,12 +8,13 @@
 //! trades between the regimes: near LifeRaft₂'s throughput when saturated,
 //! beating LifeRaft₁'s response time at the lowest saturation.
 
-use jaws_bench::exp;
+use jaws_bench::{cli, exp};
 use jaws_sim::{run_parallel, CachePolicyKind, SchedulerKind};
 
 fn main() {
-    let trace = exp::select_trace();
-    let speedups: &[f64] = if exp::quick_mode() {
+    let quick = cli::args(&[cli::QUICK], &[]).quick();
+    let trace = exp::select_trace(quick);
+    let speedups: &[f64] = if quick {
         &[0.25, 1.0, 4.0]
     } else {
         &[0.125, 0.25, 0.5, 1.0, 2.0, 4.0, 8.0]

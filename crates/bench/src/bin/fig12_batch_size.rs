@@ -5,12 +5,13 @@
 //! (cache eviction, less contention-conforming order); beyond ~50 the impact
 //! is marginal because only above-mean atoms are ever selected.
 
-use jaws_bench::exp;
+use jaws_bench::{cli, exp};
 use jaws_sim::{run_parallel, CachePolicyKind, SchedulerKind};
 
 fn main() {
-    let trace = exp::select_trace();
-    let ks: &[usize] = if exp::quick_mode() {
+    let quick = cli::args(&[cli::QUICK], &[]).quick();
+    let trace = exp::select_trace(quick);
+    let ks: &[usize] = if quick {
         &[1, 10, 30]
     } else {
         &[1, 2, 5, 10, 15, 20, 30, 50, 75, 100]

@@ -5,11 +5,11 @@
 //! execution-time histogram of the calibrated trace next to the paper's
 //! published anchor.
 
-use jaws_bench::exp;
+use jaws_bench::{cli, exp};
 use jaws_workload::stats::job_duration_histogram;
 
 fn main() {
-    let trace = exp::select_trace();
+    let trace = exp::select_trace(cli::args(&[cli::QUICK], &[]).quick());
     let cost = exp::paper_cost();
     let hist = job_duration_histogram(&trace, cost.atom_read_ms, cost.position_compute_ms);
 

@@ -5,11 +5,11 @@
 //! spike mid-range, and a downward access trend from jobs that terminate
 //! midway.
 
-use jaws_bench::exp;
+use jaws_bench::{cli, exp};
 use jaws_workload::stats::{timestep_histogram, top_atom_share, top_timestep_share};
 
 fn main() {
-    let trace = exp::select_trace();
+    let trace = exp::select_trace(cli::args(&[cli::QUICK], &[]).quick());
     let hist = timestep_histogram(&trace);
     let total: u64 = hist.iter().sum();
     let peak = *hist.iter().max().expect("non-empty") as f64;

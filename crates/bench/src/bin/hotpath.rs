@@ -1,33 +1,30 @@
 //! Hot-path wall-clock bench (perf trajectory, PR 5) — writes `BENCH_5.json`.
 //!
-//! Three sections, matching the three layers the `jaws-par` runtime was
-//! deployed on:
+//! Two sections:
 //!
 //! 1. **materialize** — fills every timestep-0 atom from the synthetic field
 //!    at 1/2/4 workers. The fill is sharded by z-slice inside
 //!    [`AtomData::materialize`]; a bit-exact checksum over every voxel proves
 //!    the payload is identical at every thread count.
-//! 2. **end_to_end** — a full materialized-mode (`DataMode::Synthetic`)
-//!    `Executor` run at each thread count. Reports are byte-compared after
-//!    masking the two measured-wall-clock overhead fields (same masking as
-//!    the determinism suite).
-//! 3. **top_k** — bounded top-k selection (`select_nth_unstable_by` + sort of
+//! 2. **top_k** — bounded top-k selection (`select_nth_unstable_by` + sort of
 //!    the k prefix) vs the old full `O(m log m)` sort, over the exact total
 //!    order used by `Jaws::next_batch`, at dispatch-candidate counts up to
 //!    the paper's 4096-atoms-per-timestep scale and beyond.
 //!
-//! Speedups for sections 1–2 depend on the host: on a single-core container
-//! they are ~1×, which is why `threads_reported` is recorded alongside every
-//! row. Section 3 is algorithmic and shows its win on any host.
+//! The end-to-end materialized-mode run that used to be a third section is
+//! the `bench5_e2e` row of `scenario_matrix`. The committed `BENCH_5.json`
+//! still carries it as the historical trajectory anchor.
 //!
-//! `--smoke` shrinks geometry and rep counts for CI; `--out=PATH` overrides
-//! the output path.
+//! Section 1's speedup depends on the host: on a single-core container it is
+//! ~1×, which is why `threads_reported` is recorded alongside every row.
+//! Section 2 is algorithmic and shows its win on any host.
+//!
+//! `--smoke` shrinks geometry and rep counts for CI and writes under
+//! `target/`; `--out=PATH` overrides the output path.
 
-use jaws_bench::{alloc_counter, exp};
+use jaws_bench::{alloc_counter, cli, exp};
 use jaws_morton::AtomId;
-use jaws_scheduler::MetricParams;
-use jaws_sim::{build_db, build_scheduler, CachePolicyKind, Executor, SchedulerKind, SimConfig};
-use jaws_turbdb::{AtomData, CostModel, DataMode, DbConfig, SyntheticField};
+use jaws_turbdb::{AtomData, DbConfig, SyntheticField};
 use serde::Serialize;
 use std::cmp::Ordering;
 use std::hint::black_box;
@@ -54,18 +51,6 @@ struct MatRow {
 }
 
 #[derive(Serialize)]
-struct E2eRow {
-    threads: usize,
-    available_parallelism: usize,
-    wall_ms: f64,
-    speedup_vs_serial: f64,
-    queries_completed: u64,
-    allocations: u64,
-    allocations_per_query: f64,
-    report_identical_to_serial: bool,
-}
-
-#[derive(Serialize)]
 struct TopKRow {
     m: usize,
     k: usize,
@@ -81,7 +66,6 @@ struct BenchReport {
     smoke: bool,
     threads_reported: usize,
     materialize: Vec<MatRow>,
-    end_to_end: Vec<E2eRow>,
     top_k: Vec<TopKRow>,
 }
 
@@ -201,59 +185,6 @@ fn bench_materialize(cfg: DbConfig, threads: &[usize]) -> Vec<MatRow> {
     rows
 }
 
-fn e2e_report(cfg: DbConfig) -> (String, u64, f64, u64) {
-    let cost = CostModel::paper_testbed();
-    let db = build_db(cfg, cost, DataMode::Synthetic, 32, CachePolicyKind::Urc);
-    let params = MetricParams {
-        atom_read_ms: cost.atom_read_ms,
-        position_compute_ms: cost.position_compute_ms,
-        atoms_per_timestep: cfg.atoms_per_timestep(),
-    };
-    let sched = build_scheduler(
-        SchedulerKind::Jaws2 { batch_k: 15 },
-        params,
-        exp::RUN_LEN,
-        10_000.0,
-    );
-    let mut ex = Executor::new(db, sched, SimConfig::default());
-    let trace = exp::smoke_trace();
-    alloc_counter::reset();
-    let start = Instant::now();
-    let report = ex.run(&trace);
-    let wall_ms = start.elapsed().as_secs_f64() * 1e3;
-    let allocations = alloc_counter::count();
-    let json = serde_json::to_string(&report).expect("report serializes");
-    (
-        exp::mask_wallclock_fields(&json),
-        report.queries_completed,
-        wall_ms,
-        allocations,
-    )
-}
-
-fn bench_end_to_end(cfg: DbConfig, threads: &[usize]) -> Vec<E2eRow> {
-    let mut rows: Vec<E2eRow> = Vec::new();
-    let mut serial: Option<(String, f64)> = None;
-    for &t in threads {
-        let _guard = jaws_par::override_threads(t);
-        let (masked, queries, wall_ms, allocations) = e2e_report(cfg);
-        let (serial_masked, serial_ms) = serial.get_or_insert((masked.clone(), wall_ms));
-        let identical = masked == *serial_masked;
-        assert!(identical, "masked report differs at {t} workers");
-        rows.push(E2eRow {
-            threads: t,
-            available_parallelism: jaws_par::hardware_parallelism(),
-            wall_ms,
-            speedup_vs_serial: *serial_ms / wall_ms,
-            queries_completed: queries,
-            allocations,
-            allocations_per_query: allocations as f64 / queries.max(1) as f64,
-            report_identical_to_serial: identical,
-        });
-    }
-    rows
-}
-
 type Selector = dyn Fn(Vec<(AtomId, f64)>, usize) -> Vec<(AtomId, f64)>;
 
 fn bench_top_k(sizes: &[usize], k: usize, reps: usize) -> Vec<TopKRow> {
@@ -290,10 +221,8 @@ fn bench_top_k(sizes: &[usize], k: usize, reps: usize) -> Vec<TopKRow> {
 }
 
 fn main() {
-    let smoke = exp::smoke_mode();
-    let out_path = std::env::args()
-        .find_map(|a| a.strip_prefix("--out=").map(str::to_string))
-        .unwrap_or_else(|| "BENCH_5.json".to_string());
+    let args = cli::args(&[cli::SMOKE, cli::OUT], &[]);
+    let smoke = args.smoke();
     let threads_reported = jaws_par::thread_count();
 
     let (mat_cfg, threads, sizes, reps): (DbConfig, &[usize], &[usize], usize) = if smoke {
@@ -336,27 +265,7 @@ fn main() {
         );
     }
 
-    println!("\nSection 2 — end-to-end materialized-mode run (JAWS_2, URC)");
-    exp::rule();
-    let end_to_end = bench_end_to_end(exp::smoke_db(), threads);
-    println!(
-        "{:<8} {:>5} {:>10} {:>12} {:>10} {:>14} {:>10}",
-        "threads", "hw", "queries", "wall_ms", "speedup", "allocs/query", "identical"
-    );
-    for r in &end_to_end {
-        println!(
-            "{:<8} {:>5} {:>10} {:>12.2} {:>9.2}x {:>14.1} {:>10}",
-            r.threads,
-            r.available_parallelism,
-            r.queries_completed,
-            r.wall_ms,
-            r.speedup_vs_serial,
-            r.allocations_per_query,
-            r.report_identical_to_serial
-        );
-    }
-
-    println!("\nSection 3 — bounded top-k vs full sort (k = 15, dispatch order)");
+    println!("\nSection 2 — bounded top-k vs full sort (k = 15, dispatch order)");
     exp::rule();
     let top_k = bench_top_k(sizes, 15, reps);
     println!(
@@ -375,10 +284,7 @@ fn main() {
         smoke,
         threads_reported,
         materialize,
-        end_to_end,
         top_k,
     };
-    let json = serde_json::to_string_pretty(&report).expect("bench report serializes");
-    std::fs::write(&out_path, json + "\n").expect("write bench output");
-    eprintln!("# wrote {out_path}");
+    exp::write_report(&args.out_path("BENCH_5.json"), &report);
 }

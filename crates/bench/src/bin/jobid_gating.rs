@@ -7,7 +7,7 @@
 //! identified from the submission log, and (c) no job structure at all
 //! (JAWS₁), all replaying the identical trace.
 
-use jaws_bench::exp;
+use jaws_bench::{cli, exp};
 use jaws_scheduler::MetricParams;
 use jaws_sim::CachePolicyKind;
 use jaws_sim::{build_db, build_scheduler, Executor, SchedulerKind, SimConfig};
@@ -16,7 +16,7 @@ use jaws_workload::jobid::reconstruct_jobs;
 use jaws_workload::{identify_jobs, JobIdConfig, JobIdEvaluation, SubmitRecord};
 
 fn main() {
-    let trace = exp::select_trace();
+    let trace = exp::select_trace(cli::args(&[cli::QUICK], &[]).quick());
     let cost = exp::paper_cost();
     let params = MetricParams {
         atom_read_ms: cost.atom_read_ms,

@@ -7,7 +7,7 @@
 //! starves. JAWS-QoS (EDF with size-proportional deadlines) implements the
 //! paper's future-work proposal while keeping per-pass data sharing.
 
-use jaws_bench::exp;
+use jaws_bench::{cli, exp};
 use jaws_scheduler::MetricParams;
 use jaws_sim::Percentiles;
 use jaws_sim::{build_db, build_scheduler, CachePolicyKind, Executor, SchedulerKind, SimConfig};
@@ -15,7 +15,7 @@ use jaws_turbdb::DataMode;
 use std::collections::HashMap;
 
 fn main() {
-    let trace = exp::select_trace();
+    let trace = exp::select_trace(cli::args(&[cli::QUICK], &[]).quick());
     let cost = exp::paper_cost();
     let params = MetricParams {
         atom_read_ms: cost.atom_read_ms,

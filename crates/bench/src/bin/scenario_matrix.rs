@@ -1,47 +1,70 @@
-//! Scenario-matrix allocation & determinism bench (PR 10) — `BENCH_10.json`.
+//! Scenario matrix — one harness for every seeded scenario — `BENCH_10.json`.
 //!
-//! The memory-layout overhaul (calendar event queue, jaws-arena scratch
-//! reuse, SoA atom planes) claims two things at once: the hot paths got
-//! cheaper, and nothing observable moved. This harness checks both across a
-//! matrix of named, seeded workload shapes rather than the single calibrated
-//! trace the other benches replay:
+//! Every row replays one named, seeded scenario and reports wall clock, heap
+//! allocations per query (counting global allocator) and event-queue
+//! push/pop counts. It also **asserts, in this binary**, that a second run
+//! is byte-identical after wall-clock masking and that 1-, 2- and 8-worker
+//! runs produce the same masked bytes. A scenario that got faster by
+//! drifting is a panic, not a row. Cluster rows add the simulated makespan
+//! and mean response, the busy-time imbalance
+//! ([`jaws_sim::ClusterReport::imbalance`]), re-dispatched parts, and the
+//! replica directory's promotions, demotions and diverted sub-queries.
 //!
-//! * `bench5_e2e`    — the BENCH_5 single-node smoke run, unchanged, as the
-//!   anchor row comparable against the committed `BENCH_5.json` trajectory;
-//! * `flash_crowd`   — dense bursts with near-zero intra-burst gaps: the
-//!   event queue's same-bucket worst case and the dispatch path under
-//!   maximum ready-set pressure;
-//! * `diurnal`       — long quiet gaps between bursts: events land far ahead
-//!   of the calendar cursor and migrate through the overflow map;
-//! * `regime_shift`  — a hotspot-heavy trace spliced before a scan-heavy
-//!   one, exercising α re-adaptation and cache turnover at the seam;
-//! * `heavy_tailed`  — few jobs, enormous batched query counts and many
-//!   long jobs: per-job state lives long and fan-out buffers churn;
-//! * `zipf_skew`     — nearly all traffic on two hotspots with hot-atom
-//!   replication enabled: the `AccessRing` promotion/demotion path.
+//! Three families of rows:
 //!
-//! Every scenario reports wall-clock, heap allocations per query (counting
-//! global allocator), and event-queue push/pop counts — and **asserts, in
-//! this binary**, that a second run is byte-identical after wall-clock
-//! masking and that 1-, 2- and 8-worker runs produce the same masked bytes.
-//! A scenario that got faster by drifting is a panic, not a row.
+//! * **Shape** — workload shapes on the smoke geometry, JAWS₂ with URC:
+//!   - `bench5_e2e`: the BENCH_5 single-node smoke run, unchanged, as the
+//!     anchor row comparable against the committed `BENCH_5.json`;
+//!   - `flash_crowd`: dense bursts with near-zero intra-burst gaps, the event
+//!     queue's same-bucket worst case and maximum ready-set pressure;
+//!   - `diurnal`: long quiet gaps between bursts, so events land far ahead of
+//!     the calendar cursor and migrate through the overflow map;
+//!   - `regime_shift`: a hotspot-heavy trace spliced before a scan-heavy one,
+//!     exercising α re-adaptation and cache turnover at the seam;
+//!   - `heavy_tailed`: few jobs, large batched query counts, many long jobs;
+//!   - `zipf_skew`: nearly all traffic on two hotspots with hot-atom
+//!     replication on, the `AccessRing` promotion/demotion path.
+//! * **Failure** — one capacity-bound trace (arrivals compressed 20×) on a
+//!   JAWS₂ + LRU-K cluster under scripted [`FailurePlan`]s:
+//!   - `failure_healthy`: the baseline; its makespan anchors the crash times;
+//!   - `failure_crash10/50/90`: node 1 dies at that fraction of the healthy
+//!     makespan and node 0 inherits its slab, queued parts and in-flight
+//!     work. Every query must still complete;
+//!   - `failure_straggle2x/8x`: the last node serves every batch 2× / 8×
+//!     slower from t = 0, the paper's slow-disk node.
+//! * **Skew** — a Zipf-skewed trace whose head keys all live in node 0's
+//!   slab, on JAWS₂ + LRU-K clusters of 1, 2, 4 and 8 nodes with static
+//!   Morton slabs (`skew_<n>n_static`) and hot-atom replication
+//!   (`skew_<n>n_repl`). At 4 and 8 nodes the replicated imbalance must be
+//!   strictly below the static one, with promotions and diverted parts.
 //!
-//! Flags: `--smoke` shrinks the matrix for CI; `--out=PATH` overrides the
-//! output path; `--guard=BASELINE.json` compares allocations/query and
-//! queue-ops/query per scenario against a committed baseline report of the
-//! same mode and exits non-zero on a >2× regression.
+//! Flags: `--smoke` shrinks the matrix for CI and writes under `target/`;
+//! `--out=PATH` overrides the output path; `--guard=BASELINE.json` compares
+//! allocations/query and queue-ops/query per scenario against a committed
+//! baseline report of the same mode and exits non-zero on a >2× regression;
+//! `--trace-out=DIR` records `failure_crash50` and `skew_4n_repl` through a
+//! [`JsonlRecorder`] on their unmeasured runs, asserts those traces
+//! byte-identical across 1/2/8 workers, and writes `DIR/<row>.jsonl` (feed
+//! them to `trace_explain`).
 
+use jaws_bench::cli::{self, Flag, Takes};
 use jaws_bench::{alloc_counter, exp};
 use jaws_morton::{AtomId, MortonKey};
+use jaws_obs::{JsonlRecorder, ObsSink};
 use jaws_scheduler::{Jaws, JawsConfig, MetricParams, Residency, Scheduler};
 use jaws_sim::{
     build_db, build_scheduler, queue_ops, reset_queue_ops, CachePolicyKind, ClusterConfig,
-    ClusterExecutor, Executor, FailurePlan, ReplicationConfig, SchedulerKind, SimConfig,
+    ClusterExecutor, ClusterReport, Executor, FailurePlan, ReplicationConfig, SchedulerKind,
+    SimConfig,
 };
-use jaws_turbdb::{CostModel, DataMode};
+use jaws_turbdb::{CostModel, DataMode, DbConfig};
 use jaws_workload::{Footprint, Job, JobKind, Query, QueryOp};
 use jaws_workload::{GenConfig, Trace, TraceGenerator};
+use rand::{Rng, SeedableRng};
+use rand_chacha::ChaCha8Rng;
 use serde::{Deserialize, Serialize};
+use std::rc::Rc;
+use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
 /// Every heap acquisition in the measured runs is counted, so the
@@ -55,9 +78,28 @@ const WORKER_COUNTS: [usize; 3] = [1, 2, 8];
 /// Guard tolerance: fail when a cost column exceeds baseline × this factor.
 const GUARD_FACTOR: f64 = 2.0;
 
+/// Node the crash scenarios kill and the survivor that inherits its slab.
+const CRASHED_NODE: u32 = 1;
+const SURVIVOR: u32 = 0;
+
+/// Zipf exponent of the skew family's trace.
+const ZIPF_S: f64 = 1.1;
+
+const GUARD: Flag = Flag {
+    name: "--guard",
+    takes: Takes::Path,
+    help: "fail on a >2x cost regression against this baseline report",
+};
+
+const TRACE_OUT: Flag = Flag {
+    name: "--trace-out",
+    takes: Takes::Path,
+    help: "directory for the JSONL traces of failure_crash50 and skew_4n_repl",
+};
+
 #[derive(Serialize)]
 struct ScenarioRow {
-    name: &'static str,
+    name: String,
     kind: &'static str,
     nodes: u32,
     jobs: usize,
@@ -73,6 +115,14 @@ struct ScenarioRow {
     double_run_identical: bool,
     /// Masked bytes identical at 1/2/8 workers. Asserted true.
     workers_identical: bool,
+    // Simulated outcome of a cluster row; null on the single-node row.
+    makespan_ms: Option<f64>,
+    mean_response_ms: Option<f64>,
+    imbalance: Option<f64>,
+    redispatched_parts: Option<u64>,
+    promotions: Option<u64>,
+    demotions: Option<u64>,
+    replica_routed: Option<u64>,
 }
 
 /// Steady-state `Jaws::next_batch` allocation cost, isolated from setup,
@@ -125,45 +175,47 @@ struct BaselineReport {
 /// seeded inputs, so re-running one is the determinism probe.
 enum Driver {
     /// Single-node materialized-mode `Executor` (the BENCH_5 configuration).
-    SingleNode { trace: Trace },
-    /// Multi-node `ClusterExecutor` on virtual data.
-    Cluster {
-        nodes: u32,
-        trace: Trace,
-        replication: ReplicationConfig,
-    },
+    SingleNode,
+    /// `ClusterExecutor` on virtual data under this configuration.
+    Cluster(Box<ClusterConfig>),
 }
 
 struct Scenario {
-    name: &'static str,
+    name: String,
+    trace: Rc<Trace>,
     driver: Driver,
+    /// Whether `--trace-out` records this row's JSONL trace.
+    traced: bool,
 }
 
-impl Driver {
-    fn kind(&self) -> &'static str {
-        match self {
-            Driver::SingleNode { .. } => "single-node",
-            Driver::Cluster { .. } => "cluster",
+/// What one run of a scenario yields.
+struct Run {
+    masked: String,
+    queries: u64,
+    cluster: Option<ClusterReport>,
+    jsonl: Option<String>,
+}
+
+impl Scenario {
+    fn new(name: impl Into<String>, trace: &Rc<Trace>, driver: Driver) -> Self {
+        Scenario {
+            name: name.into(),
+            trace: trace.clone(),
+            driver,
+            traced: false,
         }
     }
 
-    fn nodes(&self) -> u32 {
-        match self {
-            Driver::SingleNode { .. } => 1,
-            Driver::Cluster { nodes, .. } => *nodes,
-        }
+    fn cluster(name: impl Into<String>, trace: &Rc<Trace>, cfg: ClusterConfig) -> Self {
+        Self::new(name, trace, Driver::Cluster(Box::new(cfg)))
     }
 
-    fn trace(&self) -> &Trace {
-        match self {
-            Driver::SingleNode { trace } | Driver::Cluster { trace, .. } => trace,
-        }
-    }
-
-    /// One full run: masked report bytes plus completed-query count.
-    fn run_once(&self) -> (String, u64) {
-        match self {
-            Driver::SingleNode { trace } => {
+    /// One full run, recording a JSONL trace if `record`.
+    fn run_once(&self, record: bool) -> Run {
+        let recorder = record.then(|| Arc::new(Mutex::new(JsonlRecorder::new())));
+        let sink = recorder.as_ref().map(|rc| ObsSink::new(rc.clone()));
+        let (json, queries, cluster) = match &self.driver {
+            Driver::SingleNode => {
                 let cfg = exp::smoke_db();
                 let cost = CostModel::paper_testbed();
                 let db = build_db(cfg, cost, DataMode::Synthetic, 32, CachePolicyKind::Urc);
@@ -179,36 +231,49 @@ impl Driver {
                     10_000.0,
                 );
                 let mut ex = Executor::new(db, sched, SimConfig::default());
-                let report = ex.run(trace);
+                if let Some(sink) = sink {
+                    ex.set_recorder(sink);
+                }
+                let report = ex.run(&self.trace);
                 let json = serde_json::to_string(&report).expect("report serializes");
-                (exp::mask_wallclock_fields(&json), report.queries_completed)
+                (json, report.queries_completed, None)
             }
-            Driver::Cluster {
-                nodes,
-                trace,
-                replication,
-            } => {
-                let mut ex = ClusterExecutor::new(ClusterConfig {
-                    nodes: *nodes,
-                    db: exp::smoke_db(),
-                    cost: exp::paper_cost(),
-                    scheduler: SchedulerKind::Jaws2 { batch_k: 15 },
-                    cache_policy: CachePolicyKind::Urc,
-                    cache_atoms_per_node: (exp::CACHE_ATOMS as u32 / nodes).max(16) as usize,
-                    run_len: exp::RUN_LEN,
-                    gate_timeout_ms: exp::GATE_TIMEOUT_MS,
-                    sim: SimConfig::default(),
-                    failures: FailurePlan::none(),
-                    replication: *replication,
-                });
-                let report = ex.run(trace);
+            Driver::Cluster(cfg) => {
+                let mut ex = ClusterExecutor::new((**cfg).clone());
+                if let Some(sink) = sink {
+                    ex.set_recorder(sink);
+                }
+                let report = ex.run(&self.trace);
                 let json = serde_json::to_string(&report).expect("report serializes");
-                (
-                    exp::mask_wallclock_fields(&json),
-                    report.aggregate.queries_completed,
-                )
+                (json, report.aggregate.queries_completed, Some(report))
             }
+        };
+        Run {
+            masked: exp::mask_wallclock_fields(&json),
+            queries,
+            cluster,
+            // lint: invariant — the run above completed; a poisoned mutex
+            // would already have panicked the emitting thread
+            jsonl: recorder.map(|rc| rc.lock().expect("recorder lock").take()),
         }
+    }
+}
+
+/// A JAWS₂ cluster of `nodes` over `db` with the paper's cache split evenly,
+/// no failures and static Morton slabs.
+fn cluster(nodes: u32, db: DbConfig, cache_policy: CachePolicyKind) -> ClusterConfig {
+    ClusterConfig {
+        nodes,
+        db,
+        cost: exp::paper_cost(),
+        scheduler: SchedulerKind::Jaws2 { batch_k: 15 },
+        cache_policy,
+        cache_atoms_per_node: (exp::CACHE_ATOMS as u32 / nodes).max(16) as usize,
+        run_len: exp::RUN_LEN,
+        gate_timeout_ms: exp::GATE_TIMEOUT_MS,
+        sim: SimConfig::default(),
+        failures: FailurePlan::none(),
+        replication: ReplicationConfig::disabled(),
     }
 }
 
@@ -327,13 +392,13 @@ fn splice(head: Trace, tail: Trace, gap_ms: f64) -> Trace {
     Trace::new(timesteps, atoms_per_side, jobs)
 }
 
-/// The scenario matrix. All traces share the smoke database geometry (the
-/// matrix probes workload *shape*, not data scale); `jobs` scales between
+/// The shape family. All traces share the smoke database geometry (the
+/// family probes workload *shape*, not data scale); `jobs` scales between
 /// smoke and full mode.
-fn scenarios(smoke: bool) -> Vec<Scenario> {
+fn shape_family(smoke: bool) -> Vec<Scenario> {
     let jobs = if smoke { 60 } else { 240 };
     let base = GenConfig::small(exp::TRACE_SEED);
-    let generate = |cfg: GenConfig| TraceGenerator::new(cfg).generate();
+    let generate = |cfg: GenConfig| Rc::new(TraceGenerator::new(cfg).generate());
 
     let flash_crowd = generate(GenConfig {
         jobs,
@@ -352,22 +417,24 @@ fn scenarios(smoke: bool) -> Vec<Scenario> {
     });
     // Hotspot-heavy exploration phase, then a scan-heavy sweep phase with a
     // different seed: the scheduler's α and the caches must re-adapt.
-    let regime_shift = splice(
-        generate(GenConfig {
+    let regime_shift = Rc::new(splice(
+        TraceGenerator::new(GenConfig {
             jobs: jobs / 2,
             hotspot_prob: 0.9,
             ..base
-        }),
-        generate(GenConfig {
+        })
+        .generate(),
+        TraceGenerator::new(GenConfig {
             seed: exp::TRACE_SEED ^ 0x5eed,
             jobs: jobs / 2,
             hotspot_prob: 0.1,
             long_job_frac: 0.3,
             single_timestep_frac: 0.4,
             ..base
-        }),
+        })
+        .generate(),
         5_000.0,
-    );
+    ));
     let heavy_tailed = generate(GenConfig {
         jobs: jobs / 2,
         mean_batched_queries: 40.0,
@@ -382,76 +449,218 @@ fn scenarios(smoke: bool) -> Vec<Scenario> {
         ..base
     });
 
+    let urc = |replication| ClusterConfig {
+        replication,
+        ..cluster(4, exp::smoke_db(), CachePolicyKind::Urc)
+    };
+    let off = ReplicationConfig::disabled();
     vec![
-        Scenario {
-            name: "bench5_e2e",
-            driver: Driver::SingleNode {
-                trace: exp::smoke_trace(),
-            },
-        },
-        Scenario {
-            name: "flash_crowd",
-            driver: Driver::Cluster {
-                nodes: 4,
-                trace: flash_crowd,
-                replication: ReplicationConfig::disabled(),
-            },
-        },
-        Scenario {
-            name: "diurnal",
-            driver: Driver::Cluster {
-                nodes: 4,
-                trace: diurnal,
-                replication: ReplicationConfig::disabled(),
-            },
-        },
-        Scenario {
-            name: "regime_shift",
-            driver: Driver::Cluster {
-                nodes: 4,
-                trace: regime_shift,
-                replication: ReplicationConfig::disabled(),
-            },
-        },
-        Scenario {
-            name: "heavy_tailed",
-            driver: Driver::Cluster {
-                nodes: 4,
-                trace: heavy_tailed,
-                replication: ReplicationConfig::disabled(),
-            },
-        },
-        Scenario {
-            name: "zipf_skew",
-            driver: Driver::Cluster {
-                nodes: 4,
-                trace: zipf_skew,
-                replication: ReplicationConfig::on(),
-            },
-        },
+        Scenario::new(
+            "bench5_e2e",
+            &Rc::new(exp::smoke_trace()),
+            Driver::SingleNode,
+        ),
+        Scenario::cluster("flash_crowd", &flash_crowd, urc(off)),
+        Scenario::cluster("diurnal", &diurnal, urc(off)),
+        Scenario::cluster("regime_shift", &regime_shift, urc(off)),
+        Scenario::cluster("heavy_tailed", &heavy_tailed, urc(off)),
+        Scenario::cluster("zipf_skew", &zipf_skew, urc(ReplicationConfig::on())),
     ]
+}
+
+/// The failure family: crash times are fractions of the healthy makespan,
+/// so the healthy row runs first.
+fn failure_family(h: &mut Harness, smoke: bool) {
+    let (db, trace, nodes) = if smoke {
+        (exp::smoke_db(), exp::smoke_trace().speedup(20.0), 3u32)
+    } else {
+        (exp::paper_db(), exp::paper_trace().speedup(20.0), 4u32)
+    };
+    let trace = Rc::new(trace);
+    let queries = trace.query_count() as u64;
+    let base = cluster(nodes, db, CachePolicyKind::LruK);
+    let under = |name: String, failures: FailurePlan| {
+        let cfg = ClusterConfig {
+            failures,
+            ..base.clone()
+        };
+        Scenario::cluster(name, &trace, cfg)
+    };
+
+    let healthy = h.run(under("failure_healthy".into(), FailurePlan::none()));
+    let healthy_ms = healthy.makespan_ms.expect("cluster rows report a makespan");
+    for pct in [10u32, 50, 90] {
+        let at_ms = healthy_ms * pct as f64 / 100.0;
+        let plan =
+            FailurePlan::new(exp::TRACE_SEED).crash_with_survivor(at_ms, CRASHED_NODE, SURVIVOR);
+        let row = h.run(Scenario {
+            traced: pct == 50,
+            ..under(format!("failure_crash{pct}"), plan)
+        });
+        assert_eq!(
+            row.queries_completed, queries,
+            "crash@{pct}% dropped queries"
+        );
+    }
+    for factor in [2u32, 8] {
+        let plan = FailurePlan::new(exp::TRACE_SEED).slowdown_at(0.0, nodes - 1, factor as f64);
+        h.run(under(format!("failure_straggle{factor}x"), plan));
+    }
+}
+
+/// The replication knobs the skew family runs with: a generous window so
+/// the Zipf head stays hot for the whole replay, a low promotion threshold
+/// so smoke-sized traces still promote, single replicas, and a hot-atom
+/// budget far above what the trace can fill.
+fn replication_on() -> ReplicationConfig {
+    ReplicationConfig {
+        enabled: true,
+        window_ms: 600_000.0,
+        promote_accesses: 6,
+        demote_accesses: 1,
+        max_replicas_per_atom: 1,
+        max_hot_atoms: 64,
+    }
+}
+
+/// A Zipf-skewed batched workload: footprint keys are drawn from a Zipf
+/// distribution over Morton rank (exponent `s`), so rank 0 — the first key
+/// of node 0's slab — absorbs the head of the distribution no matter how
+/// many nodes the grid is split across. Seeded ChaCha8, fully deterministic.
+fn zipf_trace(db: DbConfig, jobs: u64, queries_per_job: u64, s: f64) -> Trace {
+    let per_ts = db.atoms_per_timestep();
+    let timesteps = db.timesteps;
+    // Inverse-CDF table for the Zipf ranks.
+    let weights: Vec<f64> = (0..per_ts)
+        .map(|r| 1.0 / ((r + 1) as f64).powf(s))
+        .collect();
+    let total: f64 = weights.iter().sum();
+    let mut cdf = Vec::with_capacity(weights.len());
+    let mut acc = 0.0;
+    for w in &weights {
+        acc += w / total;
+        cdf.push(acc);
+    }
+    let mut rng = ChaCha8Rng::seed_from_u64(exp::TRACE_SEED);
+    let draw = |rng: &mut ChaCha8Rng| -> u64 {
+        let u: f64 = rng.gen();
+        cdf.partition_point(|&c| c < u) as u64
+    };
+    let mut qid = 0u64;
+    let jobs = (0..jobs)
+        .map(|j| Job {
+            id: j + 1,
+            user: (j % 16) as u32,
+            kind: JobKind::Batched,
+            campaign: 1 + j % 4,
+            queries: (0..queries_per_job)
+                .map(|_| {
+                    qid += 1;
+                    let atoms = 1 + rng.gen_range(0..2u32);
+                    Query {
+                        id: qid,
+                        user: (j % 16) as u32,
+                        op: QueryOp::Velocity,
+                        timestep: rng.gen_range(0..timesteps),
+                        footprint: Footprint::from_pairs(
+                            (0..atoms).map(|_| (MortonKey(draw(&mut rng)), 40u32)),
+                        ),
+                    }
+                })
+                .collect(),
+            arrival_ms: j as f64 * 25.0,
+            think_ms: 0.0,
+        })
+        .collect();
+    Trace::new(timesteps, db.atoms_per_side(), jobs)
+}
+
+fn skew_name(nodes: u32, replicated: bool) -> String {
+    format!(
+        "skew_{nodes}n_{}",
+        if replicated { "repl" } else { "static" }
+    )
+}
+
+/// The skew family, static slabs against hot-atom replication per width.
+fn skew_family(h: &mut Harness, smoke: bool) {
+    let (db, jobs, per_job) = if smoke {
+        (exp::smoke_db(), 24, 8)
+    } else {
+        (exp::paper_db(), 120, 16)
+    };
+    let trace = Rc::new(zipf_trace(db, jobs, per_job, ZIPF_S));
+    let queries = trace.query_count() as u64;
+    for nodes in [1u32, 2, 4, 8] {
+        for replicated in [false, true] {
+            let replication = if replicated {
+                replication_on()
+            } else {
+                ReplicationConfig::disabled()
+            };
+            let cfg = ClusterConfig {
+                replication,
+                ..cluster(nodes, db, CachePolicyKind::LruK)
+            };
+            let row = h.run(Scenario {
+                traced: nodes == 4 && replicated,
+                ..Scenario::cluster(skew_name(nodes, replicated), &trace, cfg)
+            });
+            assert_eq!(
+                row.queries_completed, queries,
+                "{nodes}-node replicated={replicated} cell dropped queries"
+            );
+        }
+    }
+
+    // The headline claim: on clusters wide enough for the skew to hurt,
+    // replication must strictly reduce the busy-time imbalance.
+    for nodes in [4u32, 8] {
+        let cell = |replicated: bool| {
+            h.rows
+                .iter()
+                .find(|r| r.name == skew_name(nodes, replicated))
+                .expect("matrix cell present")
+        };
+        let (off, on) = (cell(false), cell(true));
+        let imbalance = |r: &ScenarioRow| r.imbalance.expect("cluster rows report imbalance");
+        assert!(
+            imbalance(on) < imbalance(off),
+            "{nodes} nodes: replication did not reduce imbalance \
+             ({:.3} vs static {:.3})",
+            imbalance(on),
+            imbalance(off)
+        );
+        assert!(on.promotions > Some(0), "{nodes} nodes: nothing promoted");
+        assert!(
+            on.replica_routed > Some(0),
+            "{nodes} nodes: nothing diverted"
+        );
+    }
 }
 
 /// Measured run (serial, counters on) plus the determinism probes: a second
 /// serial run and one run per remaining worker count, all byte-compared
-/// after masking.
-fn run_scenario(s: &Scenario) -> ScenarioRow {
-    let (masked, queries, wall_ms, allocations, pushes, pops) = {
+/// after masking. With `record`, the probe runs also record JSONL traces,
+/// which must match too; the serial one is returned with the row.
+fn run_scenario(s: &Scenario, record: bool) -> (ScenarioRow, Option<String>) {
+    let (measured, wall_ms, allocations, pushes, pops) = {
         let _guard = jaws_par::override_threads(WORKER_COUNTS[0]);
         reset_queue_ops();
         alloc_counter::reset();
         let start = Instant::now();
-        let (masked, queries) = s.driver.run_once();
+        let run = s.run_once(false);
         let wall_ms = start.elapsed().as_secs_f64() * 1e3;
         let allocations = alloc_counter::count();
         let (pushes, pops) = queue_ops();
-        (masked, queries, wall_ms, allocations, pushes, pops)
+        (run, wall_ms, allocations, pushes, pops)
     };
 
-    let double_run_identical = {
+    let again = {
         let _guard = jaws_par::override_threads(WORKER_COUNTS[0]);
-        s.driver.run_once().0 == masked
+        s.run_once(record)
     };
+    let double_run_identical = again.masked == measured.masked;
     assert!(
         double_run_identical,
         "{}: second run produced different masked bytes",
@@ -461,21 +670,28 @@ fn run_scenario(s: &Scenario) -> ScenarioRow {
     let mut workers_identical = true;
     for &w in &WORKER_COUNTS[1..] {
         let _guard = jaws_par::override_threads(w);
-        let identical = s.driver.run_once().0 == masked;
+        let run = s.run_once(record);
+        let identical = run.masked == measured.masked && run.jsonl == again.jsonl;
         workers_identical &= identical;
         assert!(
             identical,
-            "{}: masked report differs at {w} workers",
+            "{}: masked report or JSONL trace differs at {w} workers",
             s.name
         );
     }
 
+    let queries = measured.queries;
     let q = queries.max(1) as f64;
-    ScenarioRow {
-        name: s.name,
-        kind: s.driver.kind(),
-        nodes: s.driver.nodes(),
-        jobs: s.driver.trace().jobs.len(),
+    let (kind, nodes) = match &s.driver {
+        Driver::SingleNode => ("single-node", 1),
+        Driver::Cluster(cfg) => ("cluster", cfg.nodes),
+    };
+    let c = measured.cluster.as_ref();
+    let row = ScenarioRow {
+        name: s.name.clone(),
+        kind,
+        nodes,
+        jobs: s.trace.jobs.len(),
         queries_completed: queries,
         wall_ms,
         throughput_qps: queries as f64 / (wall_ms / 1e3).max(1e-9),
@@ -486,6 +702,64 @@ fn run_scenario(s: &Scenario) -> ScenarioRow {
         queue_ops_per_query: (pushes + pops) as f64 / q,
         double_run_identical,
         workers_identical,
+        makespan_ms: c.map(|r| r.aggregate.makespan_ms),
+        mean_response_ms: c.map(|r| r.aggregate.mean_response_ms),
+        imbalance: c.map(ClusterReport::imbalance),
+        redispatched_parts: c.map(|r| r.degraded.as_ref().map_or(0, |d| d.redispatched_parts)),
+        promotions: c.map(|r| r.replication.as_ref().map_or(0, |s| s.promotions)),
+        demotions: c.map(|r| r.replication.as_ref().map_or(0, |s| s.demotions)),
+        replica_routed: c.map(|r| r.replication.as_ref().map_or(0, |s| s.replica_routed)),
+    };
+    (row, again.jsonl)
+}
+
+/// Runs scenarios one at a time, prints and keeps their rows, and writes
+/// the JSONL traces of traced rows when `--trace-out` asked for them.
+struct Harness {
+    rows: Vec<ScenarioRow>,
+    trace_dir: Option<String>,
+}
+
+impl Harness {
+    fn run(&mut self, s: Scenario) -> &ScenarioRow {
+        let (row, jsonl) = run_scenario(&s, s.traced && self.trace_dir.is_some());
+        if let (Some(dir), Some(jsonl)) = (&self.trace_dir, jsonl) {
+            std::fs::create_dir_all(dir).unwrap_or_else(|e| panic!("cannot create {dir}: {e}"));
+            let path = format!("{dir}/{}.jsonl", s.name);
+            std::fs::write(&path, jsonl).unwrap_or_else(|e| panic!("cannot write {path}: {e}"));
+            eprintln!("# wrote observability trace of {} to {path}", s.name);
+        }
+        let opt = |v: Option<f64>, scale: f64, prec: usize| {
+            v.map_or("-".to_string(), |x| format!("{:.prec$}", x / scale))
+        };
+        let count = |v: Option<u64>| v.map_or("-".to_string(), |x| x.to_string());
+        println!(
+            "{:<20} {:>5} {:>5} {:>7} {:>10.2} {:>9.1} {:>7} {:>7} {:>10} {:>9} {:>6} {:>6} {:>5} \
+             {:>5} {:>8} {:>5} {:>6}",
+            row.name,
+            row.nodes,
+            row.jobs,
+            row.queries_completed,
+            row.wall_ms,
+            row.allocations_per_query,
+            row.queue_pushes,
+            row.queue_pops,
+            opt(row.makespan_ms, 1e3, 1),
+            opt(row.mean_response_ms, 1e3, 1),
+            opt(row.imbalance, 1.0, 3),
+            count(row.redispatched_parts),
+            count(row.promotions),
+            count(row.demotions),
+            count(row.replica_routed),
+            if row.double_run_identical {
+                "ok"
+            } else {
+                "FAIL"
+            },
+            if row.workers_identical { "ok" } else { "FAIL" },
+        );
+        self.rows.push(row);
+        self.rows.last().expect("a row was just pushed")
     }
 }
 
@@ -551,11 +825,8 @@ fn guard_violations(report: &MatrixReport, baseline_json: &str) -> Vec<String> {
 }
 
 fn main() {
-    let smoke = exp::smoke_mode();
-    let out_path = std::env::args()
-        .find_map(|a| a.strip_prefix("--out=").map(str::to_string))
-        .unwrap_or_else(|| "BENCH_10.json".to_string());
-    let guard_path = std::env::args().find_map(|a| a.strip_prefix("--guard=").map(str::to_string));
+    let args = cli::args(&[cli::SMOKE, cli::OUT, GUARD, TRACE_OUT], &[]);
+    let smoke = args.smoke();
 
     let (micro_n, micro_warm, micro_measured) = if smoke {
         (2_000, 10, 100)
@@ -580,49 +851,42 @@ fn main() {
     );
 
     println!(
-        "\nScenario matrix — allocation & queue discipline across workload shapes{}",
+        "\nScenario matrix — shape, failure and skew families{}",
         if smoke { " [--smoke]" } else { "" }
     );
     exp::rule();
     println!(
-        "{:<13} {:<12} {:>5} {:>5} {:>8} {:>10} {:>9} {:>13} {:>12} {:>7} {:>7}",
+        "{:<20} {:>5} {:>5} {:>7} {:>10} {:>9} {:>7} {:>7} {:>10} {:>9} {:>6} {:>6} {:>5} \
+         {:>5} {:>8} {:>5} {:>6}",
         "scenario",
-        "kind",
         "nodes",
         "jobs",
         "queries",
         "wall_ms",
         "allocs/q",
-        "queue push",
-        "queue pop",
+        "q push",
+        "q pop",
+        "makespan_s",
+        "mean_rt_s",
+        "imbal",
+        "redisp",
+        "promo",
+        "demo",
+        "diverted",
         "2-run",
         "1/2/8w"
     );
     exp::rule();
 
-    let mut rows = Vec::new();
-    for s in scenarios(smoke) {
-        let row = run_scenario(&s);
-        println!(
-            "{:<13} {:<12} {:>5} {:>5} {:>8} {:>10.2} {:>9.1} {:>13} {:>12} {:>7} {:>7}",
-            row.name,
-            row.kind,
-            row.nodes,
-            row.jobs,
-            row.queries_completed,
-            row.wall_ms,
-            row.allocations_per_query,
-            row.queue_pushes,
-            row.queue_pops,
-            if row.double_run_identical {
-                "ok"
-            } else {
-                "FAIL"
-            },
-            if row.workers_identical { "ok" } else { "FAIL" },
-        );
-        rows.push(row);
+    let mut harness = Harness {
+        rows: Vec::new(),
+        trace_dir: args.path(TRACE_OUT.name).map(str::to_string),
+    };
+    for s in shape_family(smoke) {
+        harness.run(s);
     }
+    failure_family(&mut harness, smoke);
+    skew_family(&mut harness, smoke);
     exp::rule();
     println!(
         "every row is asserted masked-byte-identical across a re-run and across \
@@ -636,14 +900,12 @@ fn main() {
         available_parallelism: jaws_par::hardware_parallelism(),
         worker_counts: WORKER_COUNTS.to_vec(),
         dispatch_path,
-        scenarios: rows,
+        scenarios: harness.rows,
     };
-    let json = serde_json::to_string_pretty(&report).expect("matrix report serializes");
-    std::fs::write(&out_path, json + "\n").expect("write bench output");
-    eprintln!("# wrote {out_path}");
+    exp::write_report(&args.out_path("BENCH_10.json"), &report);
 
-    if let Some(path) = guard_path {
-        let baseline = std::fs::read_to_string(&path)
+    if let Some(path) = args.path(GUARD.name) {
+        let baseline = std::fs::read_to_string(path)
             .unwrap_or_else(|e| panic!("cannot read guard baseline {path}: {e}"));
         let violations = guard_violations(&report, &baseline);
         for v in &violations {

@@ -8,7 +8,7 @@
 //! evaluation trace under NoShare, CasJobs, LifeRaft₂ and JAWS₂ and slices
 //! response times by query size class.
 
-use jaws_bench::exp;
+use jaws_bench::{cli, exp};
 use jaws_scheduler::MetricParams;
 use jaws_sim::Percentiles;
 use jaws_sim::{build_db, build_scheduler, CachePolicyKind, Executor, SchedulerKind, SimConfig};
@@ -19,7 +19,7 @@ use std::collections::HashMap;
 const THRESHOLD_MS: f64 = 600.0;
 
 fn main() {
-    let trace = exp::select_trace();
+    let trace = exp::select_trace(cli::args(&[cli::QUICK], &[]).quick());
     let cost = exp::paper_cost();
     let params = MetricParams {
         atom_read_ms: cost.atom_read_ms,

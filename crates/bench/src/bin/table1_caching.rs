@@ -13,11 +13,11 @@
 //! overhead. Overhead here is *measured wall-clock time inside the policy*,
 //! exactly as the paper measures it against its implementation.
 
-use jaws_bench::exp;
+use jaws_bench::{cli, exp};
 use jaws_sim::{run_parallel, CachePolicyKind, SchedulerKind};
 
 fn main() {
-    let trace = exp::select_trace();
+    let trace = exp::select_trace(cli::args(&[cli::QUICK], &[]).quick());
     let specs: Vec<_> = CachePolicyKind::table1_set()
         .iter()
         .map(|&p| exp::base_spec(&format!("{p:?}"), SchedulerKind::Jaws2 { batch_k: 15 }, p))

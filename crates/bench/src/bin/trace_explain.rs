@@ -27,6 +27,7 @@
 //!
 //! Usage: `trace_explain <trace.jsonl> [--queries=N] [--batches=N]`
 
+use jaws_bench::cli::{self, Flag, Takes};
 use jaws_obs::{Event, Record};
 use jaws_sim::engine;
 use std::collections::BTreeMap;
@@ -61,21 +62,24 @@ struct Selection {
     atoms: Vec<jaws_obs::AtomChoice>,
 }
 
-fn flag(name: &str, default: usize) -> usize {
-    std::env::args()
-        .find_map(|a| a.strip_prefix(name).map(str::to_string))
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(default)
-}
+const QUERIES: Flag = Flag {
+    name: "--queries",
+    takes: Takes::Count,
+    help: "queries in the latency breakdown (default 20)",
+};
+
+const BATCHES: Flag = Flag {
+    name: "--batches",
+    takes: Takes::Count,
+    help: "batch selections explained (default 5)",
+};
 
 fn main() {
-    let path = std::env::args()
-        .skip(1)
-        .find(|a| !a.starts_with("--"))
-        .expect("usage: trace_explain <trace.jsonl> [--queries=N] [--batches=N]");
-    let max_queries = flag("--queries=", 20);
-    let max_batches = flag("--batches=", 5);
-    let text = std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("cannot read {path}: {e}"));
+    let args = cli::args(&[QUERIES, BATCHES], &["<trace.jsonl>"]);
+    let path = &args.positional()[0];
+    let max_queries = args.count(QUERIES.name).unwrap_or(20) as usize;
+    let max_batches = args.count(BATCHES.name).unwrap_or(5) as usize;
+    let text = std::fs::read_to_string(path).unwrap_or_else(|e| panic!("cannot read {path}: {e}"));
 
     let mut queries: BTreeMap<u64, QueryStat> = BTreeMap::new();
     let mut selections: Vec<Selection> = Vec::new();

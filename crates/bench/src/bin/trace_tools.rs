@@ -10,18 +10,29 @@
 //! tool writes can be replayed by the experiment binaries' machinery or the
 //! library's `Executor`.
 
+use jaws_bench::cli::{self, Args, Flag, Takes};
 use jaws_workload::stats::{job_duration_histogram, timestep_histogram, top_timestep_share};
 use jaws_workload::{GenConfig, Trace, TraceGenerator};
 use std::fs::File;
 use std::process::ExitCode;
 
-fn usage() -> ExitCode {
-    eprintln!("usage:");
-    eprintln!("  trace_tools generate <out.json> [--jobs N] [--seed S] [--small]");
-    eprintln!("  trace_tools info     <trace.json>");
-    eprintln!("  trace_tools speedup  <in.json> <factor> <out.json>");
-    ExitCode::FAILURE
-}
+const JOBS: Flag = Flag {
+    name: "--jobs",
+    takes: Takes::Count,
+    help: "jobs to generate",
+};
+
+const SEED: Flag = Flag {
+    name: "--seed",
+    takes: Takes::Count,
+    help: "generator seed",
+};
+
+const SMALL: Flag = Flag {
+    name: "--small",
+    takes: Takes::Nothing,
+    help: "the small test-scale generator",
+};
 
 fn load(path: &str) -> Result<Trace, String> {
     let f = File::open(path).map_err(|e| format!("open {path}: {e}"))?;
@@ -34,15 +45,27 @@ fn save(trace: &Trace, path: &str) -> Result<(), String> {
 }
 
 fn main() -> ExitCode {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let Some(cmd) = args.first() else {
-        return usage();
+    let mut argv = std::env::args().skip(1);
+    let cmd = argv.next().unwrap_or_default();
+    let mut args = |flags: &[Flag], positional: &[&str]| {
+        cli::args_from(
+            &format!("trace_tools {cmd}"),
+            flags,
+            positional,
+            argv.by_ref(),
+        )
     };
     let result = match cmd.as_str() {
-        "generate" => generate(&args[1..]),
-        "info" => info(&args[1..]),
-        "speedup" => speedup(&args[1..]),
-        _ => return usage(),
+        "generate" => generate(&args(&[JOBS, SEED, SMALL], &["<out.json>"])),
+        "info" => info(&args(&[], &["<trace.json>"])),
+        "speedup" => speedup(&args(&[], &["<in.json>", "<factor>", "<out.json>"])),
+        _ => {
+            eprintln!("usage:");
+            eprintln!("  trace_tools generate <out.json> [--jobs N] [--seed S] [--small]");
+            eprintln!("  trace_tools info     <trace.json>");
+            eprintln!("  trace_tools speedup  <in.json> <factor> <out.json>");
+            return ExitCode::from(2);
+        }
     };
     match result {
         Ok(()) => ExitCode::SUCCESS,
@@ -53,41 +76,16 @@ fn main() -> ExitCode {
     }
 }
 
-fn generate(args: &[String]) -> Result<(), String> {
-    let out = args.first().ok_or("missing output path")?;
-    let mut small = false;
-    let mut jobs: Option<usize> = None;
-    let mut seed: Option<u64> = None;
-    let mut it = args[1..].iter();
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "--small" => small = true,
-            "--jobs" => {
-                jobs = Some(
-                    it.next()
-                        .ok_or("--jobs needs a value")?
-                        .parse()
-                        .map_err(|e| format!("--jobs: {e}"))?,
-                )
-            }
-            "--seed" => {
-                seed = Some(
-                    it.next()
-                        .ok_or("--seed needs a value")?
-                        .parse()
-                        .map_err(|e| format!("--seed: {e}"))?,
-                )
-            }
-            other => return Err(format!("unknown flag {other}")),
-        }
-    }
-    let mut cfg = if small {
+fn generate(args: &Args) -> Result<(), String> {
+    let out = &args.positional()[0];
+    let seed = args.count(SEED.name);
+    let mut cfg = if args.has(SMALL.name) {
         GenConfig::small(seed.unwrap_or(42))
     } else {
         GenConfig::paper_like(seed.unwrap_or(2009_0720))
     };
-    if let Some(j) = jobs {
-        cfg.jobs = j;
+    if let Some(j) = args.count(JOBS.name) {
+        cfg.jobs = j as usize;
     }
     let trace = TraceGenerator::new(cfg).generate();
     save(&trace, out)?;
@@ -100,8 +98,8 @@ fn generate(args: &[String]) -> Result<(), String> {
     Ok(())
 }
 
-fn info(args: &[String]) -> Result<(), String> {
-    let path = args.first().ok_or("missing trace path")?;
+fn info(args: &Args) -> Result<(), String> {
+    let path = &args.positional()[0];
     let t = load(path)?;
     t.validate();
     println!("trace {path}");
@@ -146,9 +144,9 @@ fn info(args: &[String]) -> Result<(), String> {
     Ok(())
 }
 
-fn speedup(args: &[String]) -> Result<(), String> {
-    let [input, factor, output] = args else {
-        return Err("speedup needs <in.json> <factor> <out.json>".into());
+fn speedup(args: &Args) -> Result<(), String> {
+    let [input, factor, output] = args.positional() else {
+        unreachable!("the parser checked the positional count");
     };
     let f: f64 = factor.parse().map_err(|e| format!("factor: {e}"))?;
     if f <= 0.0 {

@@ -5,6 +5,9 @@
 //! the same database geometry, cost model and calibrated trace — mirroring
 //! the paper's single experimental setup (800 GB sample, 31 timesteps,
 //! 4096 atoms/timestep, 2 GB external cache, 50k-query trace of ~1k jobs).
+//! Every binary reads its flags through the strict [`cli`] parser.
+
+pub mod cli;
 
 pub mod alloc_counter {
     //! A counting global allocator for the allocation-discipline benches.
@@ -124,17 +127,6 @@ pub mod exp {
         }
     }
 
-    /// True if the process was invoked with `--quick`.
-    pub fn quick_mode() -> bool {
-        std::env::args().any(|a| a == "--quick")
-    }
-
-    /// True if the process was invoked with `--smoke`: a reduced-size run for
-    /// CI, exercising the same code paths on a tiny geometry and trace.
-    pub fn smoke_mode() -> bool {
-        std::env::args().any(|a| a == "--smoke")
-    }
-
     /// The tiny database geometry used by `--smoke` runs (64 atoms per
     /// timestep — still divisible across 1/2/4 nodes).
     pub fn smoke_db() -> DbConfig {
@@ -153,9 +145,9 @@ pub mod exp {
         TraceGenerator::new(GenConfig::small(TRACE_SEED)).generate()
     }
 
-    /// Picks the trace per the `--quick` flag and announces it.
-    pub fn select_trace() -> Trace {
-        let quick = quick_mode();
+    /// The quick trace if `quick` (the `--quick` flag), else the paper
+    /// trace; announces which.
+    pub fn select_trace(quick: bool) -> Trace {
         let t = if quick { quick_trace() } else { paper_trace() };
         eprintln!(
             "# trace: {} jobs, {} queries, {} positions{}",
@@ -165,6 +157,16 @@ pub mod exp {
             if quick { " [--quick]" } else { "" }
         );
         t
+    }
+
+    /// Writes `report` as pretty JSON to `path`, creating its directory.
+    pub fn write_report(path: &str, report: &impl serde::Serialize) {
+        if let Some(dir) = std::path::Path::new(path).parent() {
+            std::fs::create_dir_all(dir).unwrap_or_else(|e| panic!("cannot create {dir:?}: {e}"));
+        }
+        let json = serde_json::to_string_pretty(report).expect("bench report serializes");
+        std::fs::write(path, json + "\n").unwrap_or_else(|e| panic!("cannot write {path}: {e}"));
+        eprintln!("# wrote {path}");
     }
 
     /// Prints a rule line for experiment tables.

@@ -17,9 +17,7 @@
 //!   cached together". Implemented in [`Urc`]; it pulls ranks from a
 //!   [`UtilityOracle`] supplied by the scheduler.
 //!
-//! A plain [`Lru`] and the classic [`TwoQ`] (the paper's citation \[23\],
-//! SLRU's sibling scan-resistant design) are also provided as reference
-//! points.
+//! A plain [`Lru`] is also provided as a reference point.
 //!
 //! The [`BufferPool`] owns residency bookkeeping, hit/miss statistics and
 //! wall-clock overhead accounting (Table I's "Overhead/Qry" column); it is
@@ -35,7 +33,6 @@ mod lruk;
 mod policy;
 mod pool;
 mod slru;
-mod twoq;
 mod urc;
 
 pub use lru::Lru;
@@ -43,7 +40,6 @@ pub use lruk::LruK;
 pub use policy::{NullOracle, ReplacementPolicy, UtilityOracle, UtilityRank};
 pub use pool::{AccessOutcome, BufferPool, CacheStats};
 pub use slru::Slru;
-pub use twoq::TwoQ;
 pub use urc::Urc;
 
 use jaws_morton::AtomId;

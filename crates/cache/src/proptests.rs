@@ -1,7 +1,7 @@
 //! Property-based tests on cache invariants, run against every policy.
 
 use crate::policy::{ReplacementPolicy, UtilityOracle, UtilityRank};
-use crate::{BufferPool, Lru, LruK, Slru, TwoQ, Urc};
+use crate::{BufferPool, Lru, LruK, Slru, Urc};
 use proptest::prelude::*;
 use std::collections::HashSet;
 
@@ -11,7 +11,6 @@ fn policies() -> Vec<Box<dyn ReplacementPolicy<u32>>> {
         Box::new(LruK::new()),
         Box::new(LruK::with_k(3)),
         Box::new(Slru::new(2)),
-        Box::new(TwoQ::new(2, 6)),
         Box::new(Urc::new()),
     ]
 }
